@@ -1596,16 +1596,16 @@ let micro () =
     outcomes
 
 (* ------------------------------------------------------------------ *)
-(* core: generic vs fused hot path                                     *)
+(* core: replay hot path                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Paired microbenchmarks for the allocation-free replay core: each
-   generic/fused pair exercises the same state shape with the same key
-   stream, so the delta is exactly the boxing + dispatch the fused
-   path removes.  The committed BENCH_core.json baseline records the
-   pairs; tools/bench_compare diffs a fresh --quick run against it. *)
+(* Microbenchmarks for the replay core: one policy access through the
+   outcome view, one full Simulation.access, and the TLB hierarchy's
+   scalar and batched probes.  The committed BENCH_core.json baseline
+   records them; tools/bench_compare diffs a fresh --quick run against
+   it. *)
 let core () =
-  header "B2: core hot path, generic vs fused (ns per operation, OLS fit)";
+  header "B2: core hot path (ns per operation, OLS fit)";
   let task =
     Spec.task ~key:"bechamel" (fun _reg ->
         let open Bechamel in
@@ -1616,13 +1616,6 @@ let core () =
           Test.make ~name:"policy-access-boxed"
             (Staged.stage (fun () ->
                  ignore (inst.Policy.access (Prng.int rng 16_384))))
-        in
-        let policy_fast =
-          let t = Lru.create ~capacity:4096 () in
-          let rng = Prng.create ~seed:21 () in
-          Test.make ~name:"policy-access-fast"
-            (Staged.stage (fun () ->
-                 ignore (Lru.access_fast t (Prng.int rng 16_384) : int)))
         in
         let sim_params = Params.derive ~p:(1 lsl 14) ~w:64 () in
         let sim_generic =
@@ -1636,15 +1629,6 @@ let core () =
           Test.make ~name:"sim-access-generic"
             (Staged.stage (fun () ->
                  Simulation.access z (Prng.int rng (1 lsl 16))))
-        in
-        let sim_fused =
-          let module F = Sim_fused.Make (Lru) (Lru) in
-          let x = Lru.create ~capacity:512 () in
-          let y = Lru.create ~capacity:(Params.usable_pages sim_params) () in
-          let z = F.create ~seed:7 ~params:sim_params ~x ~y () in
-          let rng = Prng.create ~seed:22 () in
-          Test.make ~name:"sim-access-fused"
-            (Staged.stage (fun () -> F.access z (Prng.int rng (1 lsl 16))))
         in
         let batch_len = 256 in
         let tlb_scalar =
@@ -1676,10 +1660,7 @@ let core () =
                  ignore (r.Atp_tlb.Hierarchy.batch_cycles : int)))
         in
         let tests =
-          [
-            policy_boxed; policy_fast; sim_generic; sim_fused; tlb_scalar;
-            tlb_batch;
-          ]
+          [ policy_boxed; sim_generic; tlb_scalar; tlb_batch ]
         in
         let grouped = Test.make_grouped ~name:"core" tests in
         let ols =
@@ -1808,42 +1789,6 @@ let engine_exp () =
       let seq_task =
         Spec.task ~key:"sequential" (fun _reg -> row baseline ~wall:seq_wall)
       in
-      let make_fused () =
-        match
-          Sim_fused.specialized ~seed:7 ~params ~x_name:"lru" ~x_capacity:64
-            ~x_rng:(Prng.create ~seed:11 ())
-            ~y_name:"lru" ~y_capacity:256
-            ~y_rng:(Prng.create ~seed:13 ())
-            ()
-        with
-        | Some f -> f
-        | None -> assert false
-      in
-      let fused_stream_task =
-        Spec.task ~key:"fused-stream" (fun _reg ->
-            let t0 = Atp_exp.Runner.wall_clock () in
-            let totals = Engine.replay_stream_fused ~make_fused path in
-            let wall = Atp_exp.Runner.wall_clock () -. t0 in
-            (* The fused path must be bit-identical to the generic
-               sequential replay, not merely within the error bound. *)
-            if totals <> baseline then
-              failwith "fused-stream totals differ from sequential replay";
-            row totals ~wall)
-      in
-      let fused_sharded_task shards =
-        Spec.task ~key:(Printf.sprintf "fused-shards=%d" shards) (fun reg ->
-            let t0 = Atp_exp.Runner.wall_clock () in
-            let totals =
-              Engine.replay_fused
-                ~obs:(Obs.Scope.v ~prefix:"engine" reg)
-                ~clock:Atp_exp.Runner.wall_clock
-                ~config:
-                  { Engine.shards; epoch_len; warmup = epoch_len; domains = None }
-                ~make_fused
-                (Engine.block_source_of_stream path)
-            in
-            row totals ~wall:(Atp_exp.Runner.wall_clock () -. t0))
-      in
       let sharded_task shards =
         Spec.task ~key:(Printf.sprintf "shards=%d" shards) (fun reg ->
             let t0 = Atp_exp.Runner.wall_clock () in
@@ -1869,9 +1814,7 @@ let engine_exp () =
                  ("ram", Json.Int ram);
                  ("error_bound", Json.Float Engine.documented_error_bound);
                ]
-             ((seq_task :: fused_stream_task
-               :: List.map sharded_task [ 1; 2; 4; 8 ])
-             @ List.map fused_sharded_task [ 1; 4 ]))
+             (seq_task :: List.map sharded_task [ 1; 2; 4; 8 ]))
       in
       Report.print_table
         ~columns:

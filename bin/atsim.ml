@@ -29,6 +29,33 @@ let exit_usage = 2
 
 let exit_bad_input = 3
 
+module Engine = Atp_engine.Engine
+
+(* Bad configuration is rejected here, at the CLI boundary, as a usage
+   error: one `atsim: ...` line and exit 2, rather than the library's
+   Invalid_argument escaping as an internal error (125). *)
+let usage_error msg =
+  Format.eprintf "atsim: %s@." msg;
+  exit exit_usage
+
+let require ~flag ~min v =
+  if v < min then
+    usage_error (Printf.sprintf "%s must be at least %d (got %d)" flag min v)
+
+let params_of_flags ~scheme ~ram ~w =
+  require ~flag:"--ram" ~min:2 ram;
+  require ~flag:"-w" ~min:2 w;
+  try Params.derive ~scheme ~p:ram ~w ()
+  with Invalid_argument msg ->
+    usage_error (Printf.sprintf "--ram %d -w %d: %s" ram w msg)
+
+let engine_config_of_flags ~shards ~epoch ~shard_warmup =
+  require ~flag:"--shards" ~min:1 shards;
+  require ~flag:"--epoch" ~min:1 epoch;
+  let warmup = Option.value shard_warmup ~default:epoch in
+  require ~flag:"--shard-warmup" ~min:0 warmup;
+  { Engine.shards; epoch_len = epoch; warmup; domains = None }
+
 (* ------------------------------------------------------------------ *)
 (* Shared arguments                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -226,7 +253,7 @@ let scheme_of = function
 
 let params_cmd =
   let run ram w scheme =
-    let params = Params.derive ~scheme:(scheme_of scheme) ~p:ram ~w () in
+    let params = params_of_flags ~scheme:(scheme_of scheme) ~ram ~w in
     Format.printf "%a@." Params.pp params
   in
   Cmd.v
@@ -398,8 +425,6 @@ let sweep_cmd =
 (* decoupled                                                           *)
 (* ------------------------------------------------------------------ *)
 
-module Engine = Atp_engine.Engine
-
 let shards_arg =
   Arg.(
     value & opt int 1
@@ -439,8 +464,9 @@ let decoupled_cmd =
   let run workload vpages ram tlb epsilon accesses warmup seed w scheme xp yp
       trace_file shards epoch shard_warmup stream metrics trace_out
       trace_capacity =
+    let params = params_of_flags ~scheme:(scheme_of scheme) ~ram ~w in
+    let config = engine_config_of_flags ~shards ~epoch ~shard_warmup in
     let reg = mk_registry ~trace_out ~trace_capacity in
-    let params = Params.derive ~scheme:(scheme_of scheme) ~p:ram ~w () in
     Format.printf "%a@.@." Params.pp params;
     let make_sim ?obs () =
       (* Deterministic from [seed] alone, so engine worker domains can
@@ -469,14 +495,6 @@ let decoupled_cmd =
         | None ->
           let wl = mk_synthetic_workload workload ~vpages ~seed in
           Engine.source_of_workload wl ~n:accesses
-      in
-      let config =
-        {
-          Engine.shards;
-          epoch_len = epoch;
-          warmup = Option.value shard_warmup ~default:epoch;
-          domains = None;
-        }
       in
       let totals =
         Engine.replay

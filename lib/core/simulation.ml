@@ -60,52 +60,53 @@ let decoupled t = t.d
 (* A residency change rewrites the ψ field of the covering huge page;
    when that huge page is TLB-covered, the materialized entry must be
    refreshed too — the ψ-update cost the SMP model charges IPIs for. *)
-let note_psi_update t page =
+let[@inline] [@atplint.hot] note_psi_update t page =
   let u = Decoupled.huge_of t.d page in
   if Decoupled.tlb_mem t.d u then begin
     Obs.Counter.incr t.c_psi_updates;
     Obs.Trace.record t.tr Obs.Event.Psi_update page u
   end
 
-let access t page =
+(* The replay loop.  Policy outcomes travel as untagged access codes
+   and translation as a frame-or-fault int, so a reference allocates
+   nothing. *)
+let[@atplint.hot] access t page =
   Obs.Counter.incr t.c_accesses;
   let u = Decoupled.huge_of t.d page in
   (* TLB side: Z's TLB mirrors X's content on the stream r(σ). *)
-  (match t.x.Policy.access u with
-   | Policy.Hit -> Obs.Trace.record t.tr Obs.Event.Tlb_hit u 0
-   | Policy.Miss { evicted } ->
-     Obs.Counter.incr t.c_tlb_fills;
-     Obs.Trace.record t.tr Obs.Event.Tlb_miss u 0;
-     (match evicted with
-      | Some victim ->
-        Obs.Trace.record t.tr Obs.Event.Eviction victim u;
-        Decoupled.tlb_remove t.d victim
-      | None -> ());
-     Decoupled.tlb_add t.d u);
+  let fx = t.x.Policy.access_fast u in
+  if Policy.fast_is_hit fx then Obs.Trace.record t.tr Obs.Event.Tlb_hit u 0
+  else begin
+    Obs.Counter.incr t.c_tlb_fills;
+    Obs.Trace.record t.tr Obs.Event.Tlb_miss u 0;
+    let victim = Policy.fast_evicted fx in
+    if victim >= 0 then begin
+      Obs.Trace.record t.tr Obs.Event.Eviction victim u;
+      Decoupled.tlb_remove t.d victim
+    end;
+    Decoupled.tlb_add t.d u
+  end;
   (* RAM side: Z's active set mirrors Y's. *)
-  (match t.y.Policy.access page with
-   | Policy.Hit -> ()
-   | Policy.Miss { evicted } ->
-     Obs.Counter.incr t.c_ios;
-     Obs.Trace.record t.tr Obs.Event.Io page 0;
-     (match evicted with
-      | Some victim ->
-        Decoupled.ram_evict t.d victim;
-        note_psi_update t victim
-      | None -> ());
-     Decoupled.ram_insert t.d page;
-     note_psi_update t page);
-  (* Translate. The huge page is covered and the page is active, so
-     the only non-frame answer is a decoding miss from a paging
-     failure. *)
-  match Decoupled.translate t.d page with
-  | Decoupled.Frame _ -> ()
-  | Decoupled.Decode_fault ->
+  let fy = t.y.Policy.access_fast page in
+  if Policy.fast_is_miss fy then begin
+    Obs.Counter.incr t.c_ios;
+    Obs.Trace.record t.tr Obs.Event.Io page 0;
+    let victim = Policy.fast_evicted fy in
+    if victim >= 0 then begin
+      Decoupled.ram_evict t.d victim;
+      note_psi_update t victim
+    end;
+    Decoupled.ram_insert t.d page;
+    note_psi_update t page
+  end;
+  (* Translate.  u is covered here — just added on an X miss, held by
+     X on a hit — so the TLB-membership probe is skipped, and the only
+     non-frame answer is a decoding miss from a paging failure. *)
+  let frame = Decoupled.translate_covered_code t.d page u in
+  if frame = Decoupled.fault_code then begin
     Obs.Counter.incr t.c_decoding_misses;
     Obs.Trace.record t.tr Obs.Event.Decode_miss page u
-  | Decoupled.Not_covered ->
-    (* We just added u on an X miss, and X holds u on a hit. *)
-    assert false
+  end
 
 let report t =
   let max_bucket_load = Alloc.max_bucket_load (Decoupled.alloc t.d) in

@@ -91,31 +91,6 @@ val source_of_workload : Atp_workloads.Workload.t -> n:int -> source
 (** The workload's next [n] references.
     @raise Invalid_argument if [n] is negative. *)
 
-type block_source = int array -> int -> int -> int
-(** [bs dst pos len] fills [dst.(pos..pos+len-1)] with the next refs
-    of the stream and returns how many were written; short counts
-    (including 0) only at end of stream.  The fused replay paths pull
-    blocks instead of per-ref options. *)
-
-val block_of_source : source -> block_source
-(** Adapter (still pays the underlying option per ref).
-
-    @raise Invalid_argument via the wrapped source's own errors when
-      pulling the next block. *)
-
-val block_source_of_array : int array -> block_source
-(** @raise Invalid_argument from the returned source if a reader asks
-      for a negative block length. *)
-
-val block_source_of_workload : Atp_workloads.Workload.t -> n:int -> block_source
-(** @raise Invalid_argument if [n] is negative. *)
-
-val block_source_of_stream : string -> block_source
-(** Decodes a packed [.atps] trace through
-    {!Atp_workloads.Trace.Stream.read_into}: no per-ref allocation.
-    The file closes at end of stream.
-    @raise Atp_workloads.Trace.Parse_error on a corrupt file. *)
-
 val replay :
   ?obs:Atp_obs.Scope.t ->
   ?clock:(unit -> float) ->
@@ -146,47 +121,6 @@ val replay_sequential :
     (one epoch, no warm-up): the reference the differential harness
     compares {!replay} against. *)
 
-(** {2 Fused replay}
-
-    Same epoch slicing, warm-up semantics, and merge order as
-    {!replay}/{!replay_sequential}, but each epoch runs on a
-    {!Atp_core.Sim_fused.fused} simulator and references travel in
-    blocks ({!block_source}) rather than one option at a time.  With
-    the same policies and seeds, totals are identical to the generic
-    paths (the differential suite asserts equality). *)
-
-val replay_fused :
-  ?obs:Atp_obs.Scope.t ->
-  ?clock:(unit -> float) ->
-  config:config ->
-  make_fused:(unit -> Atp_core.Sim_fused.fused) ->
-  block_source ->
-  totals
-(** Sharded fused replay.  [make_fused] has the same contract as
-    [make_sim] in {!replay}: deterministic, no mutable state shared
-    across calls.  Registers the same [epochs]/[warmup_discarded]/
-    [merge_ns] counters.
-    @raise Invalid_argument on a bad [config]. *)
-
-val replay_sequential_fused :
-  ?obs:Atp_obs.Scope.t ->
-  make_fused:(unit -> Atp_core.Sim_fused.fused) ->
-  block_source ->
-  totals
-(** Exact sequential fused replay: pulls 64 Ki-ref blocks into a
-    reused buffer and feeds them through [access_array]. *)
-
-val replay_stream_fused :
-  ?obs:Atp_obs.Scope.t ->
-  make_fused:(unit -> Atp_core.Sim_fused.fused) ->
-  string ->
-  totals
-(** The fully fused end-to-end path for a packed [.atps] trace:
-    decoded chunks are consumed in place via
-    {!Atp_workloads.Trace.Stream.fold_chunks} and [access_chunk] — no
-    intermediate ref array at all.
-    @raise Atp_workloads.Trace.Parse_error on a corrupt file. *)
-
 (** {2 Tenant-partitioned replay}
 
     The fleet model interleaves thousands of short-lived address
@@ -204,8 +138,8 @@ val replay_stream_fused :
     reports come back sorted by tenant id (stream order among
     instances of a reappearing id) and are byte-identical across shard
     counts and to {!replay_tenants_sequential}; the differential suite
-    in [test/test_fleet.ml] asserts this across policies, shard
-    counts, and the generic/fused pair. *)
+    in [test/test_fleet.ml] asserts this across policies and shard
+    counts. *)
 
 type tenant_event =
   | Tarrive of { tenant : int }  (** address space [tenant] starts *)
@@ -252,25 +186,6 @@ val replay_tenants_sequential :
 (** One pass, one domain, every tenant: the reference the differential
     harness compares {!replay_tenants} against.
     @raise Invalid_argument on a negative tenant id. *)
-
-val replay_tenants_fused :
-  ?obs:Atp_obs.Scope.t ->
-  ?domains:int ->
-  shards:int ->
-  make_fused:(int -> Atp_core.Sim_fused.fused) ->
-  (unit -> tenant_source) ->
-  tenant_report list
-(** {!replay_tenants} on fused simulators; same contracts, identical
-    reports when policies and seeds match the generic path.
-    @raise Invalid_argument on a non-positive [shards] or a negative
-    tenant id. *)
-
-val replay_tenants_sequential_fused :
-  ?obs:Atp_obs.Scope.t ->
-  make_fused:(int -> Atp_core.Sim_fused.fused) ->
-  tenant_source ->
-  tenant_report list
-(** @raise Invalid_argument on a negative tenant id. *)
 
 val tenant_totals : tenant_report list -> totals
 (** Fold per-tenant reports into fleet-wide totals ([epochs] counts

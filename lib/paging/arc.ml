@@ -54,11 +54,11 @@ let access t page =
     (* Case I (t1 hit): promote to t2. *)
     ignore (Page_list.remove t.t1 page);
     Page_list.push_front t.t2 page;
-    Policy.Hit
+    Policy.fast_hit
   end
   else if Page_list.mem t.t2 page then begin
     Page_list.move_to_front t.t2 page;
-    Policy.Hit
+    Policy.fast_hit
   end
   else if Page_list.mem t.b1 page then begin
     (* Case II (b1 ghost hit): grow the recency side. *)
@@ -69,7 +69,7 @@ let access t page =
     let victim = replace t ~in_b2:false in
     ignore (Page_list.remove t.b1 page);
     Page_list.push_front t.t2 page;
-    Policy.Miss { evicted = Some victim }
+    victim
   end
   else if Page_list.mem t.b2 page then begin
     (* Case III (b2 ghost hit): grow the frequency side. *)
@@ -80,7 +80,7 @@ let access t page =
     let victim = replace t ~in_b2:true in
     ignore (Page_list.remove t.b2 page);
     Page_list.push_front t.t2 page;
-    Policy.Miss { evicted = Some victim }
+    victim
   end
   else begin
     (* Case IV: a cold miss. *)
@@ -93,24 +93,24 @@ let access t page =
       if l1 = c then begin
         if Page_list.length t.t1 < c then begin
           ignore (Page_list.pop_back t.b1);
-          Some (replace t ~in_b2:false)
+          replace t ~in_b2:false
         end
         else
           (* b1 empty, t1 full: drop the LRU of t1 directly. *)
           match Page_list.pop_back t.t1 with
           | None -> assert false
-          | Some victim -> Some victim
+          | Some victim -> victim
       end
       else begin
         if total >= c then begin
           if total = 2 * c then ignore (Page_list.pop_back t.b2);
-          if size t >= c then Some (replace t ~in_b2:false) else None
+          if size t >= c then replace t ~in_b2:false else Policy.fast_miss_free
         end
-        else None
+        else Policy.fast_miss_free
       end
     in
     Page_list.push_front t.t1 page;
-    Policy.Miss { evicted }
+    evicted
   end
 
 let remove t page =

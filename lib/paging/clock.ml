@@ -47,26 +47,28 @@ let claim_frame t =
   sweep ()
 
 let access t page =
-  match Int_table.find t.index page with
-  | Some frame ->
+  let frame = Int_table.find_or t.index page no_page in
+  if frame <> no_page then begin
     Bitvec.set t.referenced frame;
-    Policy.Hit
-  | None ->
+    Policy.fast_hit
+  end
+  else begin
     let frame = claim_frame t in
     let evicted =
       let old = t.pages.(frame) in
-      if old = no_page then None
+      if old = no_page then Policy.fast_miss_free
       else begin
         ignore (Int_table.remove t.index old);
         t.size <- t.size - 1;
-        Some old
+        old
       end
     in
     t.pages.(frame) <- page;
     Bitvec.set t.referenced frame;
     Int_table.set t.index page frame;
     t.size <- t.size + 1;
-    Policy.Miss { evicted }
+    evicted
+  end
 
 let remove t page =
   match Int_table.find t.index page with

@@ -1,6 +1,4 @@
 (** First-in-first-out replacement: eviction order is insertion order;
     hits do not refresh a page. *)
 
-include Policy.Fast
-(** [access_fast] is native (allocation-free); [access] is its boxed
-    view. *)
+include Policy.S

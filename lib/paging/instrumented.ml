@@ -17,17 +17,17 @@ let metrics_of obs =
     c_evictions = Obs.Scope.counter obs "evictions";
   }
 
-let record m page outcome =
+let record m page f =
   Obs.Counter.incr m.c_accesses;
-  match outcome with
-  | Policy.Hit -> Obs.Counter.incr m.c_hits
-  | Policy.Miss { evicted } ->
+  if Policy.fast_is_hit f then Obs.Counter.incr m.c_hits
+  else begin
     Obs.Counter.incr m.c_misses;
-    (match evicted with
-     | None -> ()
-     | Some victim ->
-       Obs.Counter.incr m.c_evictions;
-       Obs.Trace.record m.tr Obs.Event.Eviction victim page)
+    let victim = Policy.fast_evicted f in
+    if victim >= 0 then begin
+      Obs.Counter.incr m.c_evictions;
+      Obs.Trace.record m.tr Obs.Event.Eviction victim page
+    end
+  end
 
 module Make (P : Policy.S) = struct
   type t = { inner : P.t; m : metrics }
@@ -47,39 +47,24 @@ module Make (P : Policy.S) = struct
   let mem t page = P.mem t.inner page
 
   let access t page =
-    let outcome = P.access t.inner page in
-    record t.m page outcome;
-    outcome
+    let f = P.access t.inner page in
+    record t.m page f;
+    f
 
   let remove t page = P.remove t.inner page
 
   let resident t = P.resident t.inner
 end
 
-let record_fast m page f =
-  Obs.Counter.incr m.c_accesses;
-  if Policy.fast_is_hit f then Obs.Counter.incr m.c_hits
-  else begin
-    Obs.Counter.incr m.c_misses;
-    let victim = Policy.fast_evicted f in
-    if victim >= 0 then begin
-      Obs.Counter.incr m.c_evictions;
-      Obs.Trace.record m.tr Obs.Event.Eviction victim page
-    end
-  end
-
 let wrap ~obs (inst : Policy.instance) =
   let m = metrics_of obs in
+  let access_fast page =
+    let f = inst.Policy.access_fast page in
+    record m page f;
+    f
+  in
   {
     inst with
-    Policy.access =
-      (fun page ->
-        let outcome = inst.Policy.access page in
-        record m page outcome;
-        outcome);
-    Policy.access_fast =
-      (fun page ->
-        let f = inst.Policy.access_fast page in
-        record_fast m page f;
-        f);
+    Policy.access = (fun page -> Policy.outcome_of_fast (access_fast page));
+    access_fast;
   }

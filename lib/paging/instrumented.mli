@@ -26,4 +26,5 @@ end
 
 val wrap : obs:Atp_obs.Scope.t -> Policy.instance -> Policy.instance
 (** The wrapped instance shares all state with the original (same
-    [name]/[capacity]); only [access] is decorated. *)
+    [name]/[capacity]); only [access_fast], and the [access] view
+    built on it, are decorated. *)

@@ -41,23 +41,25 @@ let rec pop_victim t =
      | _ -> pop_victim t)
 
 let access t page =
-  match Int_table.find t.freq page with
-  | Some f ->
+  let f = Int_table.find_or t.freq page 0 in
+  if f > 0 then begin
     Int_table.set t.freq page (f + 1);
     push t page (f + 1);
-    Policy.Hit
-  | None ->
+    Policy.fast_hit
+  end
+  else begin
     let evicted =
       if size t = t.capacity then begin
         let victim = pop_victim t in
         ignore (Int_table.remove t.freq victim);
-        Some victim
+        victim
       end
-      else None
+      else Policy.fast_miss_free
     in
     Int_table.set t.freq page 1;
     push t page 1;
-    Policy.Miss { evicted }
+    evicted
+  end
 
 let remove t page = Int_table.remove t.freq page
 

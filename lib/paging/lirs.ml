@@ -133,7 +133,7 @@ let access t page =
     let was_bottom = Page_list.back t.s = Some page in
     push_top t page;
     if was_bottom then prune t;
-    Policy.Hit
+    Policy.fast_hit
   | Some Hir_resident ->
     if Page_list.mem t.s page then begin
       (* Reuse distance is inside the stack: promote to LIR. *)
@@ -149,10 +149,12 @@ let access t page =
       ignore (Page_list.remove t.q page);
       Page_list.push_front t.q page
     end;
-    Policy.Hit
+    Policy.fast_hit
   | Some Hir_ghost | None ->
     let ghost_hit = state_of t page = Some Hir_ghost in
-    let evicted = if size t >= t.capacity then Some (evict t) else None in
+    let evicted =
+      if size t >= t.capacity then evict t else Policy.fast_miss_free
+    in
     if ghost_hit then begin
       (* The page proved a short reuse distance: it enters as LIR. *)
       ignore (Page_list.remove t.ghosts page);
@@ -172,7 +174,7 @@ let access t page =
       push_top t page;
       Page_list.push_front t.q page
     end;
-    Policy.Miss { evicted }
+    evicted
 
 let remove t page =
   match state_of t page with

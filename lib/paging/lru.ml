@@ -14,9 +14,7 @@ let size t = Slots.size t.slots
 
 let mem t page = Slots.find_slot t.slots page >= 0
 
-(* The allocation-free primitive; [access] is its boxed view, so the
-   two paths share one state evolution by construction. *)
-let access_fast t page =
+let access t page =
   let slot = Slots.find_slot t.slots page in
   if slot >= 0 then begin
     Lru_list.move_to_front t.order slot;
@@ -35,8 +33,6 @@ let access_fast t page =
     Lru_list.push_front t.order slot;
     evicted
   end
-
-let access t page = Policy.outcome_of_fast (access_fast t page)
 
 let remove t page =
   match Slots.slot_of_page t.slots page with

@@ -1,6 +1,4 @@
 (** Least-recently-used replacement (Sleator–Tarjan's canonical online
     policy).  O(1) per access. *)
 
-include Policy.Fast
-(** [access_fast] is native (allocation-free); [access] is its boxed
-    view. *)
+include Policy.S

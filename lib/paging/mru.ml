@@ -15,11 +15,12 @@ let size t = Slots.size t.slots
 let mem t page = Slots.slot_of_page t.slots page <> None
 
 let access t page =
-  match Slots.slot_of_page t.slots page with
-  | Some slot ->
+  let slot = Slots.find_slot t.slots page in
+  if slot >= 0 then begin
     Lru_list.move_to_front t.order slot;
-    Policy.Hit
-  | None ->
+    Policy.fast_hit
+  end
+  else begin
     let evicted =
       if Slots.is_full t.slots then begin
         (* Evict the most recently used page: the list front. *)
@@ -27,13 +28,14 @@ let access t page =
         | None -> assert false
         | Some victim_slot ->
           Lru_list.remove t.order victim_slot;
-          Some (Slots.release t.slots victim_slot)
+          Slots.release t.slots victim_slot
       end
-      else None
+      else Policy.fast_miss_free
     in
     let slot = Slots.alloc t.slots page in
     Lru_list.push_front t.order slot;
-    Policy.Miss { evicted }
+    evicted
+  end
 
 let remove t page =
   match Slots.slot_of_page t.slots page with

@@ -60,23 +60,18 @@ let access t page =
     invalid_arg "Opt.access: request deviates from the trace";
   let next_use = t.next.(t.step) in
   t.step <- t.step + 1;
-  match Int_table.find t.resident page with
-  | Some _ ->
-    Int_table.set t.resident page next_use;
-    Heap.push t.heap (next_use, page);
-    Policy.Hit
-  | None ->
-    let evicted =
-      if size t = t.capacity then begin
-        let victim = pop_victim t in
-        ignore (Int_table.remove t.resident victim);
-        Some victim
-      end
-      else None
-    in
-    Int_table.set t.resident page next_use;
-    Heap.push t.heap (next_use, page);
-    Policy.Miss { evicted }
+  let evicted =
+    if mem t page then Policy.fast_hit
+    else if size t = t.capacity then begin
+      let victim = pop_victim t in
+      ignore (Int_table.remove t.resident victim);
+      victim
+    end
+    else Policy.fast_miss_free
+  in
+  Int_table.set t.resident page next_use;
+  Heap.push t.heap (next_use, page);
+  evicted
 
 let remove t page = Int_table.remove t.resident page
 
@@ -86,10 +81,7 @@ let misses ~capacity trace =
   let t = create ~capacity trace in
   let count = ref 0 in
   Array.iter
-    (fun page ->
-      match access t page with
-      | Policy.Hit -> ()
-      | Policy.Miss _ -> incr count)
+    (fun page -> if Policy.fast_is_miss (access t page) then incr count)
     trace;
   !count
 
@@ -100,8 +92,8 @@ let instance ~capacity trace =
     capacity;
     size = (fun () -> size t);
     mem = (fun page -> mem t page);
-    access = (fun page -> access t page);
-    access_fast = (fun page -> Policy.fast_of_outcome (access t page));
+    access = (fun page -> Policy.outcome_of_fast (access t page));
+    access_fast = (fun page -> access t page);
     remove = (fun page -> remove t page);
     resident = (fun () -> resident t);
   }

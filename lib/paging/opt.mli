@@ -21,9 +21,10 @@ val size : t -> int
 
 val mem : t -> int -> bool
 
-val access : t -> int -> Policy.outcome
-(** The [i]th call must request [trace.(i)]; raises [Invalid_argument]
-    otherwise, and when the trace is exhausted.
+val access : t -> int -> int
+(** The {!Policy.S} access code.  The [i]th call must request
+    [trace.(i)]; raises [Invalid_argument] otherwise, and when the
+    trace is exhausted.
 
     @raise Invalid_argument if the request deviates from, or runs past,
     the pre-recorded trace. *)

@@ -2,8 +2,8 @@ type outcome =
   | Hit
   | Miss of { evicted : int option }
 
-(* The allocation-free outcome encoding for hot loops: page ids are
-   non-negative throughout the simulator, so the two non-eviction
+(* The allocation-free outcome encoding every policy returns: page ids
+   are non-negative throughout the simulator, so the two non-eviction
    cases fit below zero and an eviction is the victim page itself. *)
 
 let fast_hit = -1
@@ -22,11 +22,6 @@ let outcome_of_fast f =
   else if f >= 0 then Miss { evicted = Some f }
   else invalid_arg "Policy.outcome_of_fast: bad encoding"
 
-let fast_of_outcome = function
-  | Hit -> fast_hit
-  | Miss { evicted = None } -> fast_miss_free
-  | Miss { evicted = Some victim } -> victim
-
 module type S = sig
   type t
 
@@ -35,21 +30,9 @@ module type S = sig
   val capacity : t -> int
   val size : t -> int
   val mem : t -> int -> bool
-  val access : t -> int -> outcome
+  val access : t -> int -> int
   val remove : t -> int -> bool
   val resident : t -> int list
-end
-
-module type Fast = sig
-  include S
-
-  val access_fast : t -> int -> int
-end
-
-module Fast_of (P : S) : Fast with type t = P.t = struct
-  include P
-
-  let access_fast t page = fast_of_outcome (P.access t page)
 end
 
 type instance = {
@@ -63,20 +46,18 @@ type instance = {
   resident : unit -> int list;
 }
 
-let instantiate_fast (module P : Fast) ?rng ~capacity () =
+let instantiate (module P : S) ?rng ~capacity () =
   let state = P.create ?rng ~capacity () in
   {
     name = P.name;
     capacity;
     size = (fun () -> P.size state);
     mem = (fun page -> P.mem state page);
-    access = (fun page -> P.access state page);
-    access_fast = (fun page -> P.access_fast state page);
+    access = (fun page -> outcome_of_fast (P.access state page));
+    access_fast = (fun page -> P.access state page);
     remove = (fun page -> P.remove state page);
     resident = (fun () -> P.resident state);
   }
-
-let instantiate (module P : S) = instantiate_fast (module Fast_of (P) : Fast)
 
 let evicted = function
   | Hit -> None

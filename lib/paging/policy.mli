@@ -12,13 +12,14 @@ type outcome =
   | Miss of { evicted : int option }
       (** [evicted = None] when a free slot absorbed the fill. *)
 
-(** {2 The allocation-free outcome encoding}
+(** {2 The access code}
 
-    Hot loops cannot afford an [outcome] block (plus an option) per
-    access.  Page ids are non-negative throughout the simulator, so an
-    access result fits in one untagged int: {!fast_hit} ([-1]),
+    Every policy's [access] returns one untagged int rather than an
+    [outcome] block (plus an option): page ids are non-negative
+    throughout the simulator, so the result is {!fast_hit} ([-1]),
     {!fast_miss_free} ([-2], a free slot absorbed the fill), or the
-    evicted page itself ([>= 0]). *)
+    evicted page itself ([>= 0]).  {!outcome_of_fast} is the boxed
+    view for callers that match on outcomes. *)
 
 val fast_hit : int
 
@@ -33,8 +34,6 @@ val fast_evicted : int -> int
 
 val outcome_of_fast : int -> outcome
 (** @raise Invalid_argument on an int below [-2]. *)
-
-val fast_of_outcome : outcome -> int
 
 (** What every policy implementation provides. *)
 module type S = sig
@@ -53,9 +52,10 @@ module type S = sig
 
   val mem : t -> int -> bool
 
-  val access : t -> int -> outcome
+  val access : t -> int -> int
   (** Service a request for a page: a hit updates recency metadata; a
-      miss inserts the page, evicting a victim if the cache is full. *)
+      miss inserts the page, evicting a victim if the cache is full.
+      Returns {!fast_hit}, {!fast_miss_free}, or the evicted page. *)
 
   val remove : t -> int -> bool
   (** Invalidate a page without an access (e.g. a shootdown).  Returns
@@ -65,23 +65,6 @@ module type S = sig
   (** Unordered list of resident pages. *)
 end
 
-(** A policy that additionally exposes the allocation-free access
-    primitive.  [access_fast] must be behaviorally identical to
-    [access] (same state evolution, outcomes related by
-    {!fast_of_outcome}); the differential suite checks this for every
-    registered policy. *)
-module type Fast = sig
-  include S
-
-  val access_fast : t -> int -> int
-  (** {!fast_hit}, {!fast_miss_free}, or the evicted page. *)
-end
-
-(** Derive the fast interface from any policy by encoding the boxed
-    outcome — the generic fallback for policies without a native
-    allocation-free path. *)
-module Fast_of (P : S) : Fast with type t = P.t
-
 (** A policy instance with its state captured, for heterogeneous
     collections (the experiment driver sweeps over policies). *)
 type instance = {
@@ -90,21 +73,15 @@ type instance = {
   size : unit -> int;
   mem : int -> bool;
   access : int -> outcome;
+      (** The boxed view: {!outcome_of_fast} of [access_fast]. *)
   access_fast : int -> int;
-      (** Same state evolution as [access], encoded per
-          {!fast_of_outcome}. *)
+      (** The policy's own [access]: the replay loop calls this. *)
   remove : int -> bool;
   resident : unit -> int list;
 }
 
 val instantiate :
   (module S) -> ?rng:Atp_util.Prng.t -> capacity:int -> unit -> instance
-(** [access_fast] goes through {!Fast_of}, i.e. it still allocates
-    internally; use {!instantiate_fast} with a native {!Fast} policy
-    for the allocation-free path. *)
-
-val instantiate_fast :
-  (module Fast) -> ?rng:Atp_util.Prng.t -> capacity:int -> unit -> instance
 
 val evicted : outcome -> int option
 (** [None] on a hit or free fill. *)

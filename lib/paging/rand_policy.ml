@@ -15,19 +15,19 @@ let size t = Slots.size t.slots
 let mem t page = Slots.slot_of_page t.slots page <> None
 
 let access t page =
-  if mem t page then Policy.Hit
+  if Slots.find_slot t.slots page >= 0 then Policy.fast_hit
   else begin
     let evicted =
       if Slots.is_full t.slots then begin
         (* When full every slot is occupied, so a uniform slot is a
            uniform resident page. *)
         let victim_slot = Prng.int t.rng (Slots.capacity t.slots) in
-        Some (Slots.release t.slots victim_slot)
+        Slots.release t.slots victim_slot
       end
-      else None
+      else Policy.fast_miss_free
     in
     ignore (Slots.alloc t.slots page);
-    Policy.Miss { evicted }
+    evicted
   end
 
 let remove t page =

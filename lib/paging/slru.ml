@@ -39,11 +39,11 @@ let promote t page =
 let access t page =
   if Page_list.mem t.protected_ page then begin
     Page_list.move_to_front t.protected_ page;
-    Policy.Hit
+    Policy.fast_hit
   end
   else if Page_list.mem t.probation page then begin
     promote t page;
-    Policy.Hit
+    Policy.fast_hit
   end
   else begin
     let evicted =
@@ -51,13 +51,16 @@ let access t page =
         (* Victim: probation LRU; if probation is empty, protected
            LRU. *)
         match Page_list.pop_back t.probation with
-        | Some victim -> Some victim
-        | None -> Page_list.pop_back t.protected_
+        | Some victim -> victim
+        | None -> (
+          match Page_list.pop_back t.protected_ with
+          | Some victim -> victim
+          | None -> Policy.fast_miss_free)
       end
-      else None
+      else Policy.fast_miss_free
     in
     Page_list.push_front t.probation page;
-    Policy.Miss { evicted }
+    evicted
   end
 
 let remove t page =

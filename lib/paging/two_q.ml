@@ -49,9 +49,7 @@ let reclaim t =
     victim
   end
 
-(* The allocation-free primitive; [access] is its boxed view, so the
-   two paths share one state evolution by construction. *)
-let access_fast t page =
+let access t page =
   if Page_list.mem t.am page then begin
     Page_list.move_to_front t.am page;
     Policy.fast_hit
@@ -71,8 +69,6 @@ let access_fast t page =
     else Page_list.push_front t.a1in page;
     evicted
   end
-
-let access t page = Policy.outcome_of_fast (access_fast t page)
 
 let remove t page =
   Page_list.remove t.a1in page || Page_list.remove t.am page

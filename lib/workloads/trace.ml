@@ -251,8 +251,6 @@ module Stream = struct
     r_buf : chunk;
     r_raw : Bytes.t;
     mutable r_consumed : int;
-    mutable r_len : int;  (* refs decoded into [r_buf] by the last fill *)
-    mutable r_pos : int;  (* of which, how many [read_into] consumed *)
     mutable r_closed : bool;
   }
 
@@ -285,8 +283,6 @@ module Stream = struct
       r_buf = Bigarray.Array1.create Bigarray.int Bigarray.c_layout dim;
       r_raw = Bytes.create (dim * max_varint_bytes);
       r_consumed = 0;
-      r_len = 0;
-      r_pos = 0;
       r_closed = false;
     }
 
@@ -313,15 +309,10 @@ module Stream = struct
       close_in r.r_ic
     end
 
-  (* Decode the next chunk into the reused [r_buf]; returns the number
-     of refs decoded, 0 at end of stream.  Allocation-free: the refs
-     are valid only until the next fill. *)
-  let fill_chunk r =
-    if r.r_closed || r.r_consumed >= r.r_header.length then begin
-      r.r_len <- 0;
-      r.r_pos <- 0;
-      0
-    end
+  (* Decode the next chunk into the reused [r_buf]; the returned view
+     is valid only until the next call. *)
+  let next_chunk r =
+    if r.r_closed || r.r_consumed >= r.r_header.length then None
     else begin
       let path = r.r_path in
       let n = read_u64_or path "chunk header" r.r_ic in
@@ -345,48 +336,8 @@ module Stream = struct
       done;
       if !pos <> nbytes then parse_error path "chunk payload size mismatch";
       r.r_consumed <- r.r_consumed + n;
-      r.r_len <- n;
-      r.r_pos <- 0;
-      n
+      Some (Bigarray.Array1.sub r.r_buf 0 n)
     end
-
-  let next_chunk r =
-    let n = fill_chunk r in
-    r.r_pos <- r.r_len;
-    if n = 0 then None else Some (Bigarray.Array1.sub r.r_buf 0 n)
-
-  let fold_chunks f acc r =
-    let rec go acc =
-      let n = fill_chunk r in
-      if n = 0 then acc
-      else begin
-        r.r_pos <- r.r_len;
-        go (f acc r.r_buf n)
-      end
-    in
-    go acc
-
-  let read_into r dst pos len =
-    if pos < 0 || len < 0 || pos + len > Array.length dst then
-      invalid_arg "Trace.Stream.read_into";
-    let filled = ref 0 in
-    let eof = ref false in
-    while !filled < len && not !eof do
-      if r.r_pos >= r.r_len then begin
-        if fill_chunk r = 0 then eof := true
-      end
-      else begin
-        let k = min (len - !filled) (r.r_len - r.r_pos) in
-        let base = pos + !filled and off = r.r_pos in
-        for i = 0 to k - 1 do
-          Array.unsafe_set dst (base + i)
-            (Bigarray.Array1.unsafe_get r.r_buf (off + i))
-        done;
-        r.r_pos <- off + k;
-        filled := !filled + k
-      end
-    done;
-    !filled
 
   let with_reader path f =
     let r = open_reader path in

@@ -96,24 +96,6 @@ module Stream : sig
       been delivered.  The returned view aliases the reader's buffer.
       @raise Parse_error on a truncated or corrupt frame. *)
 
-  val fold_chunks : ('a -> chunk -> int -> 'a) -> 'a -> reader -> 'a
-  (** [fold_chunks f acc r] runs [f acc buf n] for each chunk, where
-      [buf] is the reader's {e reused} full-size buffer and only its
-      first [n] elements are valid.  Zero-copy and allocation-free per
-      chunk ({!next_chunk} allocates a sub view and an option each
-      call): the fused replay core consumes traces this way.  [buf]'s
-      contents are invalid after [f] returns.
-      @raise Parse_error on a truncated or corrupt frame. *)
-
-  val read_into : reader -> int array -> int -> int -> int
-  (** [read_into r dst pos len] fills [dst.(pos..pos+len-1)] with the
-      next refs of the stream, returning how many were written —
-      short only at end of stream.  Decodes through the reused chunk
-      buffer; no per-ref allocation.  May be freely interleaved with
-      {!next_chunk}/{!fold_chunks}, which always consume whole chunks.
-      @raise Invalid_argument on a bad range.
-      @raise Parse_error on a truncated or corrupt frame. *)
-
   val close_reader : reader -> unit
   (** Idempotent. *)
 

@@ -11,9 +11,8 @@
    - differential replay: for every committed corpus file under
      test/traces, import -> ATPS -> replay must be byte-identical (cost
      report and obs snapshot) to replaying an independent in-memory
-     reference decode of the same file, across lru/fifo/2q, shard
-     counts 1 and ATP_SHARDS, and both the generic and fused engine
-     paths;
+     reference decode of the same file, across lru/fifo/2q and shard
+     counts 1 and ATP_SHARDS;
 
    - streaming: importing a ~1M-reference trace must keep peak heap
      growth O(chunk), and the format sniffer must classify hex address
@@ -227,13 +226,6 @@ let make_sim ~policy () =
   let y = Policy.instantiate p ~rng:(Prng.create ~seed:13 ()) ~capacity:16 () in
   Simulation.create ~seed:7 ~params ~x ~y ()
 
-let make_fused ~policy () =
-  Sim_fused.for_names ~seed:7 ~params ~x_name:policy ~x_capacity:8
-    ~x_rng:(Prng.create ~seed:11 ())
-    ~y_name:policy ~y_capacity:16
-    ~y_rng:(Prng.create ~seed:13 ())
-    ()
-
 let totals_str t = Format.asprintf "%a" Engine.pp_totals t
 
 (* Byte-identical: the rendered cost report strings and the obs
@@ -273,39 +265,11 @@ let test_corpus_differential () =
                     in
                     (t, Obs.Registry.snapshot_string reg)
                   in
-                  check_same_replay (label ^ " generic")
+                  check_same_replay label
                     (run (Trace.Stream.source dst))
-                    (run (Engine.source_of_array expect));
-                  let run_fused bs =
-                    let reg = Obs.Registry.create () in
-                    let t =
-                      Engine.replay_fused
-                        ~obs:(Obs.Scope.v reg)
-                        ~config:(engine_config ~shards)
-                        ~make_fused:(make_fused ~policy) bs
-                    in
-                    (t, Obs.Registry.snapshot_string reg)
-                  in
-                  check_same_replay (label ^ " fused")
-                    (run_fused (Engine.block_source_of_stream dst))
-                    (run_fused (Engine.block_source_of_array expect));
-                  (* and fused = generic on the same imported file *)
-                  check_same_replay (label ^ " fused=generic")
-                    (run_fused (Engine.block_source_of_stream dst))
-                    (run (Trace.Stream.source dst)))
+                    (run (Engine.source_of_array expect)))
                 [ 1; max_shards ])
-            policies;
-          (* the fully fused streaming path once per file *)
-          let seq_file =
-            Engine.replay_stream_fused ~make_fused:(make_fused ~policy:"lru") dst
-          in
-          let seq_ref =
-            Engine.replay_sequential_fused
-              ~make_fused:(make_fused ~policy:"lru")
-              (Engine.block_source_of_array expect)
-          in
-          check Alcotest.string (path ^ ": stream-fused sequential")
-            (totals_str seq_ref) (totals_str seq_file)))
+            policies))
     corpus
 
 (* ------------------------------------------------------------------ *)
@@ -739,7 +703,7 @@ let () =
         [
           Alcotest.test_case "import = independent reference decode" `Quick
             test_corpus_decode;
-          Alcotest.test_case "differential replay (generic+fused, 1/N shards)"
+          Alcotest.test_case "differential replay (1/N shards)"
             `Quick test_corpus_differential;
         ] );
       ( "semantics",

@@ -34,7 +34,7 @@ let generic_hit_iff_resident (module P : Policy.S) () =
   for _ = 0 to 499 do
     let page = Prng.int walk 20 in
     let was_resident = P.mem t page in
-    match P.access t page with
+    match Policy.outcome_of_fast (P.access t page) with
     | Policy.Hit ->
       check Alcotest.bool (P.name ^ ": hit implies resident") true was_resident
     | Policy.Miss _ ->
@@ -56,7 +56,7 @@ let generic_eviction_consistency (module P : Policy.S) () =
   let walk = Prng.create ~seed:6 () in
   for _ = 0 to 499 do
     let page = Prng.int walk 11 in
-    match P.access t page with
+    match Policy.outcome_of_fast (P.access t page) with
     | Policy.Hit -> ()
     | Policy.Miss { evicted = None } -> ()
     | Policy.Miss { evicted = Some victim } ->
@@ -114,7 +114,8 @@ let test_lru_evicts_least_recent () =
   ignore (Lru.access t 3);
   ignore (Lru.access t 1);
   (* Now LRU order (most..least) is 1 3 2; inserting 4 evicts 2. *)
-  check outcome "evicts 2" (Policy.Miss { evicted = Some 2 }) (Lru.access t 4)
+  check outcome "evicts 2" (Policy.Miss { evicted = Some 2 })
+    (Policy.outcome_of_fast (Lru.access t 4))
 
 let test_fifo_ignores_hits () =
   let t = Fifo.create ~capacity:3 () in
@@ -123,14 +124,16 @@ let test_fifo_ignores_hits () =
   ignore (Fifo.access t 3);
   ignore (Fifo.access t 1);
   (* 1 is oldest despite the recent hit. *)
-  check outcome "evicts 1" (Policy.Miss { evicted = Some 1 }) (Fifo.access t 4)
+  check outcome "evicts 1" (Policy.Miss { evicted = Some 1 })
+    (Policy.outcome_of_fast (Fifo.access t 4))
 
 let test_mru_evicts_most_recent () =
   let t = Mru.create ~capacity:3 () in
   ignore (Mru.access t 1);
   ignore (Mru.access t 2);
   ignore (Mru.access t 3);
-  check outcome "evicts 3" (Policy.Miss { evicted = Some 3 }) (Mru.access t 4)
+  check outcome "evicts 3" (Policy.Miss { evicted = Some 3 })
+    (Policy.outcome_of_fast (Mru.access t 4))
 
 let test_clock_second_chance () =
   let t = Clock.create ~capacity:3 () in
@@ -139,10 +142,12 @@ let test_clock_second_chance () =
   ignore (Clock.access t 3);
   (* All ref bits set; the sweep clears 1's and 2's and 3's bits, wraps,
      and takes frame of 1. *)
-  check outcome "evicts 1" (Policy.Miss { evicted = Some 1 }) (Clock.access t 4);
+  check outcome "evicts 1" (Policy.Miss { evicted = Some 1 })
+    (Policy.outcome_of_fast (Clock.access t 4));
   (* Now touching 2 gives it a second chance over 3. *)
   ignore (Clock.access t 2);
-  check outcome "evicts 3" (Policy.Miss { evicted = Some 3 }) (Clock.access t 5)
+  check outcome "evicts 3" (Policy.Miss { evicted = Some 3 })
+    (Policy.outcome_of_fast (Clock.access t 5))
 
 let test_lfu_evicts_least_frequent () =
   let t = Lfu.create ~capacity:3 () in
@@ -152,14 +157,14 @@ let test_lfu_evicts_least_frequent () =
   ignore (Lfu.access t 2);
   ignore (Lfu.access t 3);
   check outcome "evicts 3 (freq 1)" (Policy.Miss { evicted = Some 3 })
-    (Lfu.access t 4)
+    (Policy.outcome_of_fast (Lfu.access t 4))
 
 let test_lfu_tie_breaks_oldest () =
   let t = Lfu.create ~capacity:2 () in
   ignore (Lfu.access t 1);
   ignore (Lfu.access t 2);
   check outcome "tie evicts older insert" (Policy.Miss { evicted = Some 1 })
-    (Lfu.access t 3)
+    (Policy.outcome_of_fast (Lfu.access t 3))
 
 let test_two_q_promotion () =
   let t = Two_q.create ~capacity:8 () in
@@ -171,7 +176,7 @@ let test_two_q_promotion () =
   ignore (Two_q.access t 100);
   (* page 0 fell out of a1in into a1out by now *)
   check Alcotest.bool "evicted from a1in" false (Two_q.mem t 0);
-  (match Two_q.access t 0 with
+  (match Policy.outcome_of_fast (Two_q.access t 0) with
    | Policy.Hit -> Alcotest.fail "expected a miss for ghost page"
    | Policy.Miss _ -> ());
   check Alcotest.bool "promoted" true (Two_q.mem t 0)
@@ -184,7 +189,7 @@ let test_arc_adapts () =
   done;
   check Alcotest.bool "size bounded" true (Arc.size t <= 4);
   (* 0 and 1 were evicted to b1; touching 0 is a ghost hit. *)
-  (match Arc.access t 0 with
+  (match Policy.outcome_of_fast (Arc.access t 0) with
    | Policy.Hit -> Alcotest.fail "0 should not be resident"
    | Policy.Miss _ -> ());
   check Alcotest.bool "ghost promoted" true (Arc.mem t 0)
@@ -197,7 +202,7 @@ let test_random_evicts_uniformly () =
     ignore (Rand_policy.access t 1);
     ignore (Rand_policy.access t 2);
     ignore (Rand_policy.access t 3);
-    match Rand_policy.access t 4 with
+    match Policy.outcome_of_fast (Rand_policy.access t 4) with
     | Policy.Miss { evicted = Some v } ->
       Hashtbl.replace counts v (1 + Option.value (Hashtbl.find_opt counts v) ~default:0)
     | _ -> Alcotest.fail "expected an eviction"
@@ -298,6 +303,29 @@ let test_registry () =
        "unknown policy \"nope\" (known: lru, fifo, clock, lfu, mru, random, \
         2q, arc, slru, lirs)") (fun () -> ignore (Registry.find_exn "nope"))
 
+(* The outcome view is [outcome_of_fast] of the access code: two
+   twin instances, one driven through each, stay in lockstep. *)
+let prop_access_fast_equals_access =
+  QCheck.Test.make ~count:60
+    ~name:"outcome view agrees with access_fast"
+    QCheck.(
+      triple (int_range 1 24) (int_range 2 60)
+        (list_of_size Gen.(int_range 1 300) (int_bound 1000)))
+    (fun (capacity, universe, pages) ->
+      let trace = List.map (fun p -> p mod universe) pages in
+      List.for_all
+        (fun p ->
+          let fresh () =
+            Policy.instantiate p ~rng:(Prng.create ~seed:5 ()) ~capacity ()
+          in
+          let boxed = fresh () and fast = fresh () in
+          List.for_all
+            (fun page ->
+              boxed.Policy.access page
+              = Policy.outcome_of_fast (fast.Policy.access_fast page))
+            trace)
+        Registry.all)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -331,4 +359,5 @@ let () =
             Alcotest.test_case "seq matches array" `Quick test_sim_seq_matches_array;
             Alcotest.test_case "registry" `Quick test_registry;
           ] );
+        ("access_fast", qsuite [ prop_access_fast_equals_access ]);
       ])

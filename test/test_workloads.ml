@@ -271,6 +271,33 @@ let test_mix_spec_validation () =
   let w = Mix.instantiate s (Prng.create ~seed:1 ()) in
   check Alcotest.string "workload name" "named" w.Workload.name
 
+(* --- Streamed chunks ------------------------------------------------- *)
+
+let prop_next_chunk_roundtrip =
+  QCheck.Test.make ~count:80 ~name:"next_chunk concatenates to the trace"
+    QCheck.(
+      pair (int_range 1 17)
+        (list_of_size Gen.(int_range 0 300) (int_bound 10_000)))
+    (fun (chunk_size, pages) ->
+      let path = Filename.temp_file "atp_test_chunks" ".atps" in
+      Fun.protect
+        ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+        (fun () ->
+          Trace.Stream.with_writer ~chunk_size path (fun w ->
+              List.iter (Trace.Stream.push w) pages);
+          Trace.Stream.with_reader path (fun r ->
+              let rec go acc =
+                match Trace.Stream.next_chunk r with
+                | None -> List.concat (List.rev acc)
+                | Some c ->
+                  let l = ref [] in
+                  for i = Bigarray.Array1.dim c - 1 downto 0 do
+                    l := Bigarray.Array1.get c i :: !l
+                  done;
+                  go (!l :: acc)
+              in
+              go [] = pages)))
+
 let () =
   Alcotest.run "atp.workloads"
     [
@@ -322,4 +349,5 @@ let () =
           Alcotest.test_case "bad magic" `Quick test_trace_binary_bad_magic;
           Alcotest.test_case "summary" `Quick test_trace_summary;
         ] );
+      ("chunks", [ QCheck_alcotest.to_alcotest prop_next_chunk_roundtrip ]);
     ]
