@@ -1513,16 +1513,17 @@ let micro () =
           let params = Params.derive ~p:(1 lsl 16) ~w:64 () in
           let a = Alloc.create params in
           let e = Encoding.create a in
-          let value = Encoding.empty_value e in
+          let arena = Encoding.create_arena e ~slots:1 in
+          Encoding.clear_slot e arena 0;
           for i = 0 to Encoding.h_max e - 1 do
             ignore (Alloc.insert a i);
-            Encoding.refresh_page e value i
+            Encoding.refresh_page e arena (Encoding.field_of e ~slot:0 i) i
           done;
           let rng = Prng.create ~seed:4 () in
           Test.make ~name:"tlb-decode-f"
             (Staged.stage (fun () ->
-                 ignore
-                   (Encoding.decode e (Prng.int rng (Encoding.h_max e)) value)))
+                 let v = Prng.int rng (Encoding.h_max e) in
+                 ignore (Encoding.decode e arena (Encoding.field_of e ~slot:0 v) v)))
         in
         let machine_test =
           let m =

@@ -42,12 +42,17 @@ let require ~flag ~min v =
   if v < min then
     usage_error (Printf.sprintf "%s must be at least %d (got %d)" flag min v)
 
+(* A library constructor's own Invalid_argument, raised while building
+   from flag values, names a bad combination of those [flags]. *)
+let configure ~flags build =
+  try build ()
+  with Invalid_argument msg -> usage_error (Printf.sprintf "%s: %s" flags msg)
+
 let params_of_flags ~scheme ~ram ~w =
   require ~flag:"--ram" ~min:2 ram;
   require ~flag:"-w" ~min:2 w;
-  try Params.derive ~scheme ~p:ram ~w ()
-  with Invalid_argument msg ->
-    usage_error (Printf.sprintf "--ram %d -w %d: %s" ram w msg)
+  configure ~flags:(Printf.sprintf "--ram %d -w %d" ram w) (fun () ->
+      Params.derive ~scheme ~p:ram ~w ())
 
 let engine_config_of_flags ~shards ~epoch ~shard_warmup =
   require ~flag:"--shards" ~min:1 shards;
@@ -920,11 +925,13 @@ let mrc_cmd =
 
 let thp_cmd =
   let run workload vpages ram accesses warmup seed huge_size =
+    require ~flag:"--ram" ~min:huge_size ram;
     let wl = mk_workload workload ~vpages ~seed in
     let warmup_trace = Workload.generate wl warmup in
     let trace = Workload.generate wl accesses in
     let t =
-      Thp.create { Thp.default_config with ram_pages = ram; huge_size }
+      configure ~flags:(Printf.sprintf "--ram %d --huge-size %d" ram huge_size)
+        (fun () -> Thp.create { Thp.default_config with ram_pages = ram; huge_size })
     in
     let c = Thp.run ~warmup:warmup_trace t trace in
     Format.printf "%a@." Thp.pp_counters c;
@@ -1099,10 +1106,13 @@ let fleet_cmd =
 let compare_cmd =
   let run workload vpages ram tlb epsilon tc_entries tc_latency accesses warmup
       seed huge_size =
+    require ~flag:"--ram" ~min:huge_size ram;
     let wl = mk_workload workload ~vpages ~seed in
     let warmup_trace = Workload.generate wl warmup in
     let trace = Workload.generate wl accesses in
     let schemes =
+      configure ~flags:(Printf.sprintf "--ram %d --huge-size %d" ram huge_size)
+      @@ fun () ->
       [
         Atp_core.Scheme.physical ~tlb_entries:tlb ~ram_pages:ram ~huge_size:1 ();
         Atp_core.Scheme.physical ~tlb_entries:tlb ~ram_pages:ram ~huge_size ();
@@ -1151,23 +1161,30 @@ let () =
   (* A malformed trace file is a data error, not an internal one nor a
      usage mistake: any Parse_error that escapes a subcommand exits
      with the malformed-input code (3) and a uniform path: message —
-     distinct from flag errors (2) and internal errors (125). *)
+     distinct from flag errors (2) and internal errors (125).  A flag
+     cmdliner itself cannot parse (an unknown option, a missing or
+     ill-typed value) is a usage error too: 2, not cmdliner's own 124. *)
   exit
     (try
-       Cmd.eval ~catch:false
-         (Cmd.group info
-            [
-            params_cmd;
-            sweep_cmd;
-            decoupled_cmd;
-            policies_cmd;
-            ballsbins_cmd;
-            trace_cmd;
-            mrc_cmd;
-            thp_cmd;
-            fleet_cmd;
-            compare_cmd;
-          ])
+       match
+         Cmd.eval_value ~catch:false
+           (Cmd.group info
+              [
+                params_cmd;
+                sweep_cmd;
+                decoupled_cmd;
+                policies_cmd;
+                ballsbins_cmd;
+                trace_cmd;
+                mrc_cmd;
+                thp_cmd;
+                fleet_cmd;
+                compare_cmd;
+              ])
+       with
+       | Ok (`Ok () | `Version | `Help) -> Cmd.Exit.ok
+       | Error (`Parse | `Term) -> exit_usage
+       | Error `Exn -> Cmd.Exit.internal_error
      with
      | Trace.Parse_error { path; what } ->
        Format.eprintf "atsim: %s: %s@." path what;

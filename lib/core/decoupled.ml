@@ -5,30 +5,42 @@ type translation =
   | Decode_fault
   | Not_covered
 
-(* [values] holds the live ψ array for every huge page that needs one:
-   those with at least one resident constituent, plus those currently
-   in the TLB.  The TLB and the shadow table share the same mutable
-   array, so a residency change updates a loaded TLB entry for free —
-   which is exactly the model's free ψ update. *)
+(* Per-huge-page state is flat.  Each huge page u gets a dense slot
+   the first time any call touches it, and keeps it for good; [slots]
+   is the only hash table, probed once per call.  ψ of slot s is
+   fields [s·h_max, (s+1)·h_max) of one packed [arena], and TLB
+   membership is one byte per slot.  A field is non-null exactly when
+   its page is resident and placed, so a huge page with nothing
+   resident holds an all-null ψ and decodes as if it had none.  The
+   TLB view and the shadow read the same arena field, so a residency
+   change updates a loaded TLB entry for free — which is exactly the
+   model's free ψ update. *)
 
 type t = {
   params : Params.t;
   alloc : Alloc.t;
   enc : Encoding.t;
-  values : Encoding.value Int_table.Poly.t;
-  counts : Int_table.t;  (* huge page -> resident constituents *)
-  in_tlb : Int_table.t;  (* huge page -> 1 *)
+  slots : Int_table.t;  (* huge page -> slot *)
+  mutable used : int;  (* slots assigned so far *)
+  mutable arena : Encoding.arena;
+  mutable in_tlb : Bytes.t;  (* slot -> '\001' when covered *)
+  mutable tlb_count : int;
 }
+
+let initial_slots = 1024
 
 let create ?seed params =
   let alloc = Alloc.create ?seed params in
+  let enc = Encoding.create alloc in
   {
     params;
     alloc;
-    enc = Encoding.create alloc;
-    values = Int_table.Poly.create ~initial_capacity:4096 ();
-    counts = Int_table.create ();
-    in_tlb = Int_table.create ();
+    enc;
+    slots = Int_table.create ~initial_capacity:4096 ();
+    used = 0;
+    arena = Encoding.create_arena enc ~slots:initial_slots;
+    in_tlb = Bytes.make initial_slots '\000';
+    tlb_count = 0;
   }
 
 let params t = t.params
@@ -39,53 +51,61 @@ let h_max t = Encoding.h_max t.enc
 
 let[@inline] [@atplint.hot] huge_of t v = Encoding.huge_of t.enc v
 
-(* A sentinel distinct (physically) from every stored psi, so the hot
-   lookups below need no option. *)
-let no_value : Encoding.value = Atp_util.Packed_array.create ~width:1 ~length:1
+let grow t =
+  let slots = 2 * Bytes.length t.in_tlb in
+  t.arena <- Encoding.grow_arena t.enc t.arena ~slots;
+  let in_tlb = Bytes.make slots '\000' in
+  Bytes.blit t.in_tlb 0 in_tlb 0 t.used;
+  t.in_tlb <- in_tlb
 
-let value_for t u =
-  let value = Int_table.Poly.find_or t.values u no_value in
-  if value != no_value then value
-  else begin
-    let value = Encoding.empty_value t.enc in
-    Int_table.Poly.set t.values u value;
-    value
-  end
+(* u's slot, assigned (with an all-null ψ) on first touch. *)
+let[@atplint.hot] slot_of t u =
+  let s = Int_table.find_or_add t.slots u t.used in
+  if s = t.used then begin
+    if s = Bytes.length t.in_tlb then grow t;
+    Encoding.clear_slot t.enc t.arena s;
+    t.used <- s + 1
+  end;
+  s
 
-let maybe_drop t u =
-  let count = Int_table.find_or t.counts u 0 in
-  if count = 0 && not (Int_table.mem t.in_tlb u) then
-    ignore (Int_table.Poly.remove t.values u)
+(* u's slot, or [-1] if no call has touched u yet. *)
+let[@inline] [@atplint.hot] find_slot t u = Int_table.find_or t.slots u (-1)
+
+let[@inline] [@atplint.hot] covered t s =
+  Bytes.unsafe_get t.in_tlb s <> '\000'
 
 let[@atplint.hot] ram_insert t v =
   let code = Alloc.insert_code t.alloc v in
-  let u = Encoding.huge_of t.enc v in
-  ignore (Int_table.incr_by t.counts u 1 : int);
-  Encoding.set_code t.enc (value_for t u) v code
+  let s = slot_of t (Encoding.huge_of t.enc v) in
+  Encoding.set_code t.enc t.arena (Encoding.field_of t.enc ~slot:s v) code
 
 let[@atplint.hot] ram_evict t v =
   Alloc.delete t.alloc v;
-  let u = Encoding.huge_of t.enc v in
-  let value = Int_table.Poly.find_or t.values u no_value in
-  if value == no_value then assert false;
-  Encoding.clear_page t.enc value v;
-  let count = Int_table.incr_by t.counts u (-1) in
-  if count = 0 then begin
-    ignore (Int_table.remove t.counts u);
-    maybe_drop t u
-  end
+  let s = find_slot t (Encoding.huge_of t.enc v) in
+  if s < 0 then assert false;
+  Encoding.clear_field t.enc t.arena (Encoding.field_of t.enc ~slot:s v)
 
 let active t = Alloc.live t.alloc
 
 let[@atplint.hot] tlb_add t u =
-  if Int_table.add_if_absent t.in_tlb u 1 then ignore (value_for t u)
+  let s = slot_of t u in
+  if not (covered t s) then begin
+    Bytes.unsafe_set t.in_tlb s '\001';
+    t.tlb_count <- t.tlb_count + 1
+  end
 
 let[@atplint.hot] tlb_remove t u =
-  if Int_table.remove t.in_tlb u then maybe_drop t u
+  let s = find_slot t u in
+  if s >= 0 && covered t s then begin
+    Bytes.unsafe_set t.in_tlb s '\000';
+    t.tlb_count <- t.tlb_count - 1
+  end
 
-let[@atplint.hot] tlb_mem t u = Int_table.mem t.in_tlb u
+let[@atplint.hot] tlb_mem t u =
+  let s = find_slot t u in
+  s >= 0 && covered t s
 
-let tlb_size t = Int_table.length t.in_tlb
+let tlb_size t = t.tlb_count
 
 (* The allocation-free translate: [>= 0] is the frame,
    [fault_code] a decoding fault, [not_covered_code] a TLB miss. *)
@@ -93,22 +113,21 @@ let fault_code = -1
 
 let not_covered_code = -2
 
+(* f on slot [s]'s ψ: [Encoding.decode] already answers [-1], which
+   is [fault_code], for a null field. *)
+let[@inline] [@atplint.hot] decode_in t s v =
+  Encoding.decode t.enc t.arena (Encoding.field_of t.enc ~slot:s v) v
+
 (* The covered-case body, shared with {!translate_code}: callers that
    have just ensured coverage (the replay loop adds u to the TLB on an
-   X miss before translating) skip the membership probe. *)
+   X miss before translating) skip the membership test. *)
 let[@inline] [@atplint.hot] translate_covered_code t v u =
-  let value = Int_table.Poly.find_or t.values u no_value in
-  if value == no_value then fault_code
-    (* covered but no constituent resident *)
-  else begin
-    let frame = Encoding.decode t.enc v value in
-    if frame < 0 then fault_code else frame
-  end
+  let s = find_slot t u in
+  if s < 0 then fault_code else decode_in t s v
 
 let[@atplint.hot] translate_code t v =
-  let u = Encoding.huge_of t.enc v in
-  if not (Int_table.mem t.in_tlb u) then not_covered_code
-  else translate_covered_code t v u
+  let s = find_slot t (Encoding.huge_of t.enc v) in
+  if s < 0 || not (covered t s) then not_covered_code else decode_in t s v
 
 let translate t v =
   let code = translate_code t v in
@@ -117,9 +136,8 @@ let translate t v =
   else Not_covered
 
 let decoded_frame t v =
-  let u = Encoding.huge_of t.enc v in
-  match Int_table.Poly.find t.values u with
-  | None -> None
-  | Some value ->
-    let frame = Encoding.decode t.enc v value in
+  let s = find_slot t (Encoding.huge_of t.enc v) in
+  if s < 0 then None
+  else
+    let frame = decode_in t s v in
     if frame < 0 then None else Some frame

@@ -6,10 +6,16 @@
     The scheme is driven from outside by a RAM-replacement policy
     (which pages are active) and a TLB-replacement policy (which huge
     pages are covered), both oblivious to the scheme's internals —
-    exactly the interface of the paper.  A hash table shadows the
-    would-be ψ(u) for every huge page with a resident constituent, so
-    loading a TLB entry is O(1) (the trick in the proof of
-    Theorem 1). *)
+    exactly the interface of the paper.
+
+    The would-be ψ(u) of every huge page is kept up to date, so
+    loading a TLB entry is O(1) (the trick in the proof of Theorem 1).
+    The state is flat: each huge page gets a dense slot the first time
+    a call touches it, and keeps it.  ψ of every slot lives in one
+    packed {!Encoding.arena}, and TLB membership is one byte per slot.
+    A ψ field is non-null exactly when its page is resident and
+    placed, so a huge page with nothing resident decodes as if it had
+    no ψ at all.  Each call makes one hash probe, for the slot. *)
 
 type t
 
@@ -48,8 +54,8 @@ val active : t -> int
 (** {2 TLB-replacement events} *)
 
 val tlb_add : t -> int -> unit
-(** Huge page [u] enters the TLB; ψ(u) is materialized in O(1).
-    Idempotent. *)
+(** Huge page [u] enters the TLB; ψ(u) is already current, so this is
+    O(1).  Idempotent. *)
 
 val tlb_remove : t -> int -> unit
 (** Huge page [u] leaves the TLB.  Idempotent. *)
@@ -71,7 +77,7 @@ val translate_code : t -> int -> int
 val translate_covered_code : t -> int -> int -> int
 (** [translate_covered_code t v u] is {!translate_code} for a page
     whose huge page [u] is already known to be TLB-covered — the
-    membership probe is skipped, so [not_covered_code] is never
+    membership test is skipped, so [not_covered_code] is never
     returned.  {!Simulation.access} calls this right after ensuring
     coverage. *)
 

@@ -1,6 +1,6 @@
 open Atp_util
 
-type value = Packed_array.t
+type arena = Packed_array.t
 
 type t = {
   alloc : Alloc.t;
@@ -35,30 +35,37 @@ let[@inline] [@atplint.hot] huge_of t v = Divider.div t.h_div v
 
 let[@inline] [@atplint.hot] index_of t v = Divider.rem t.h_div v
 
-let empty_value t =
-  let value = Packed_array.create ~width:t.bits_per_page ~length:t.h_max in
-  for i = 0 to t.h_max - 1 do
-    Packed_array.set value i t.null
-  done;
-  value
+let create_arena t ~slots =
+  Packed_array.create ~width:t.bits_per_page ~length:(slots * t.h_max)
+
+let grow_arena t arena ~slots = Packed_array.grow arena ~length:(slots * t.h_max)
+
+let[@inline] [@atplint.hot] field_of t ~slot v = (slot * t.h_max) + index_of t v
+
+let clear_slot t arena slot =
+  let base = slot * t.h_max in
+  for i = base to base + t.h_max - 1 do
+    Packed_array.set arena i t.null
+  done
 
 (* A placed page's packed Alloc code is exactly the field encoding
    ([choice * B + slot < k * B = null]); fallback or absent is null. *)
-let[@atplint.hot] set_code t value v code =
-  Packed_array.set value (index_of t v) (if code >= 0 then code else t.null)
+let[@atplint.hot] set_code t arena field code =
+  Packed_array.set arena field (if code >= 0 then code else t.null)
 
-let refresh_page t value v = set_code t value v (Alloc.code_of t.alloc v)
+let refresh_page t arena field v = set_code t arena field (Alloc.code_of t.alloc v)
 
-let[@atplint.hot] clear_page t value v = Packed_array.set value (index_of t v) t.null
+let[@atplint.hot] clear_field t arena field = Packed_array.set arena field t.null
 
-let is_empty t value =
+let is_empty t arena slot =
+  let base = slot * t.h_max in
   let rec go i =
-    i >= t.h_max || (Packed_array.get value i = t.null && go (i + 1))
+    i >= t.h_max || (Packed_array.get arena (base + i) = t.null && go (i + 1))
   in
   go 0
 
-let[@atplint.hot] decode t v value =
-  let code = Packed_array.get value (index_of t v) in
+let[@atplint.hot] decode t arena field v =
+  let code = Packed_array.get arena field in
   if code = t.null then -1
   else begin
     let choice = Divider.div t.b_div code in

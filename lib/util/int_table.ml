@@ -124,6 +124,20 @@ let add_if_absent t key value =
     true
   end
 
+(* One probe for a lookup that binds [value] on a miss. *)
+let[@atplint.hot] find_or_add t key value =
+  check_key key;
+  maybe_grow t;
+  let i = probe t key (slot_of t key) in
+  if i >= 0 then Array.unsafe_get t.values i
+  else begin
+    let j = lnot i in
+    Array.unsafe_set t.keys j key;
+    Array.unsafe_set t.values j value;
+    t.size <- t.size + 1;
+    value
+  end
+
 (* Can a key homed at [home] legally live at [lo]?  Yes iff home is
    cyclically outside (lo, hi]. *)
 let[@inline] cyclically_between lo x hi =

@@ -36,6 +36,10 @@ val add_if_absent : t -> int -> int -> bool
 (** Returns [true] if inserted, [false] if the key was present
     (in which case the value is unchanged). *)
 
+val find_or_add : t -> int -> int -> int
+(** [find_or_add t key value] is the value bound to [key]; when [key]
+    is absent it first binds [value], then returns it.  One probe. *)
+
 val remove : t -> int -> bool
 (** Returns whether the key was present. *)
 

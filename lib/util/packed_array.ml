@@ -54,6 +54,12 @@ let set t i v =
 
 let copy t = { t with data = Bytes.copy t.data }
 
+let grow t ~length =
+  if length < t.length then invalid_arg "Packed_array.grow: shorter length";
+  let data = Bytes.make (bytes_for ~width:t.width ~length) '\000' in
+  Bytes.blit t.data 0 data 0 (Bytes.length t.data);
+  { data; width = t.width; length }
+
 let blit_to_bytes t = Bytes.copy t.data
 
 let of_bytes ~width ~length data =

@@ -34,6 +34,13 @@ val total_bits : t -> int
 
 val copy : t -> t
 
+val grow : t -> length:int -> t
+(** [grow t ~length] is a copy of [t] with room for [length]
+    elements: the first [length t] keep their values, the rest are
+    zero.
+
+    @raise Invalid_argument if [length] is less than [length t]. *)
+
 val blit_to_bytes : t -> Bytes.t
 (** The raw packed representation, for round-trip tests and for
     treating the array as an opaque TLB value. *)

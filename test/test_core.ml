@@ -176,31 +176,40 @@ let prop_alloc_churn_consistency =
 
 (* --- Encoding: the Eq. (4) guarantee --------------------------------- *)
 
+(* A one-slot arena holding an all-null ψ, and page [v]'s field in it. *)
+let single_psi e =
+  let arena = Encoding.create_arena e ~slots:1 in
+  Encoding.clear_slot e arena 0;
+  arena
+
+let field e v = Encoding.field_of e ~slot:0 v
+
 let test_encoding_roundtrip_small () =
   let params = small_params () in
   let a = Alloc.create params in
   let e = Encoding.create a in
   let h_max = Encoding.h_max e in
-  let value = Encoding.empty_value e in
+  let value = single_psi e in
   (* Insert the pages of huge page 3 and encode them one by one. *)
   let base = 3 * h_max in
   for i = 0 to h_max - 1 do
     ignore (Alloc.insert a (base + i));
-    Encoding.refresh_page e value (base + i)
+    Encoding.refresh_page e value (field e (base + i)) (base + i)
   done;
   for i = 0 to h_max - 1 do
     let v = base + i in
     check Alcotest.int "decode = phi" (Option.get (Alloc.frame_of a v))
-      (Encoding.decode e v value)
+      (Encoding.decode e value (field e v) v)
   done;
   (* Remove one: its field must decode to -1, the rest unchanged. *)
   Alloc.delete a base;
-  Encoding.clear_page e value base;
-  check Alcotest.int "absent decodes to -1" (-1) (Encoding.decode e base value);
+  Encoding.clear_field e value (field e base);
+  check Alcotest.int "absent decodes to -1" (-1)
+    (Encoding.decode e value (field e base) base);
   for i = 1 to h_max - 1 do
     let v = base + i in
     check Alcotest.int "others unchanged" (Option.get (Alloc.frame_of a v))
-      (Encoding.decode e v value)
+      (Encoding.decode e value (field e v) v)
   done
 
 let test_encoding_fits_w () =
@@ -212,10 +221,10 @@ let test_encoding_fits_w () =
 let test_encoding_empty_value_all_null () =
   let params = small_params () in
   let e = Encoding.create (Alloc.create params) in
-  let value = Encoding.empty_value e in
-  check Alcotest.bool "is_empty" true (Encoding.is_empty e value);
+  let value = single_psi e in
+  check Alcotest.bool "is_empty" true (Encoding.is_empty e value 0);
   for i = 0 to Encoding.h_max e - 1 do
-    check Alcotest.int "decodes null" (-1) (Encoding.decode e i value)
+    check Alcotest.int "decodes null" (-1) (Encoding.decode e value (field e i) i)
   done
 
 let prop_encoding_eq4 =
@@ -228,24 +237,24 @@ let prop_encoding_eq4 =
       let a = Alloc.create params in
       let e = Encoding.create a in
       let h_max = Encoding.h_max e in
-      let value = Encoding.empty_value e in
+      let value = single_psi e in
       let base = u * h_max in
       List.iter
         (fun (i, insert) ->
           let v = base + (i mod h_max) in
           if insert && not (Alloc.mem a v) then begin
             ignore (Alloc.insert a v);
-            Encoding.refresh_page e value v
+            Encoding.refresh_page e value (field e v) v
           end
           else if (not insert) && Alloc.mem a v then begin
             Alloc.delete a v;
-            Encoding.clear_page e value v
+            Encoding.clear_field e value (field e v)
           end)
         flips;
       let ok = ref true in
       for i = 0 to h_max - 1 do
         let v = base + i in
-        let decoded = Encoding.decode e v value in
+        let decoded = Encoding.decode e value (field e v) v in
         (match Alloc.location_of a v with
          | Some (Alloc.Placed { frame; _ }) -> if decoded <> frame then ok := false
          | Some (Alloc.Fallback _) -> if decoded <> -1 then ok := false
@@ -307,29 +316,70 @@ let test_decoupled_tlb_size () =
   check Alcotest.int "idempotent remove" 1 (Decoupled.tlb_size d)
 
 let prop_decoupled_matches_alloc =
+  (* Event [(op, hp, i)] touches page [i] of the [hp]-th huge page,
+     counted from page 0 (dense ids) or from 2^40 (sparse ids).  Op 0
+     covers the huge page, then toggles the page's residency; op 1
+     only toggles; op 2 uncovers.  A case touches well over 1024 of
+     5000 huge pages, more than Decoupled has slots for at creation,
+     so slots are assigned and the ψ arena grows.  At w = 128 one ψ spans
+     more than 63 bits.  Every touched page must translate, and decode
+     with no TLB, as the allocator places it.  A failure shrinks by
+     dropping events only: shrinking each of thousands of triples
+     would take minutes. *)
+  let events =
+    QCheck.(
+      set_shrink Shrink.list_spine
+        (list_of_size (Gen.int_range 1500 3000)
+           (triple (int_bound 2) (int_bound 4999) (int_bound 3))))
+  in
   QCheck.Test.make ~name:"decoupled translation = allocator truth" ~count:30
-    QCheck.(list (int_bound 400))
-    (fun pages ->
-      let params = Params.derive ~p:2048 ~w:64 () in
+    QCheck.(triple bool bool events)
+    (fun (sparse, wide, events) ->
+      let params = Params.derive ~p:2048 ~w:(if wide then 128 else 64) () in
       let d = Decoupled.create params in
       let a = Decoupled.alloc d in
       let h_max = Decoupled.h_max d in
       let budget = Params.usable_pages params in
+      let offset = if sparse then 1 lsl 40 else 0 in
+      let covered = Hashtbl.create 64 and touched = Hashtbl.create 64 in
       List.iter
-        (fun v ->
-          Decoupled.tlb_add d (v / h_max);
-          if Alloc.mem a v then Decoupled.ram_evict d v
-          else if Decoupled.active d < budget then ignore (Decoupled.ram_insert d v))
-        pages;
-      List.for_all
-        (fun v ->
-          match (Decoupled.translate d v, Alloc.location_of a v) with
-          | Decoupled.Frame f, Some (Alloc.Placed { frame; _ }) -> f = frame
-          | Decoupled.Decode_fault, Some (Alloc.Fallback _) -> true
-          | Decoupled.Decode_fault, None -> true
-          | Decoupled.Not_covered, _ -> not (Decoupled.tlb_mem d (v / h_max))
-          | _ -> false)
-        (List.sort_uniq compare pages))
+        (fun (op, hp, i) ->
+          let v = offset + (hp * h_max) + i in
+          let u = v / h_max in
+          Hashtbl.replace touched v ();
+          let toggle () =
+            if Alloc.mem a v then Decoupled.ram_evict d v
+            else if Decoupled.active d < budget then Decoupled.ram_insert d v
+          in
+          match op with
+          | 0 ->
+            Decoupled.tlb_add d u;
+            Hashtbl.replace covered u ();
+            toggle ()
+          | 1 -> toggle ()
+          | _ ->
+            Decoupled.tlb_remove d u;
+            Hashtbl.remove covered u)
+        events;
+      let agrees v =
+        let u = v / h_max in
+        let is_covered = Hashtbl.mem covered u in
+        let truth =
+          match Alloc.location_of a v with
+          | Some (Alloc.Placed { frame; _ }) -> Some frame
+          | Some (Alloc.Fallback _) | None -> None
+        in
+        Decoupled.decoded_frame d v = truth
+        && Decoupled.tlb_mem d u = is_covered
+        &&
+        match (Decoupled.translate d v, truth) with
+        | Decoupled.Frame f, Some frame -> is_covered && f = frame
+        | Decoupled.Decode_fault, None -> is_covered
+        | Decoupled.Not_covered, _ -> not is_covered
+        | _ -> false
+      in
+      Decoupled.tlb_size d = Hashtbl.length covered
+      && Hashtbl.fold (fun v () ok -> ok && agrees v) touched true)
 
 (* --- Simulation (Theorem 4) ------------------------------------------ *)
 

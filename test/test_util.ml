@@ -209,6 +209,21 @@ let test_packed_array_bytes_roundtrip () =
     check Alcotest.int "roundtrip" (Packed_array.get a i) (Packed_array.get b i)
   done
 
+let test_packed_array_grow () =
+  let a = Packed_array.create ~width:5 ~length:3 in
+  for i = 0 to 2 do Packed_array.set a i (31 - i) done;
+  let b = Packed_array.grow a ~length:40 in
+  check Alcotest.int "length" 40 (Packed_array.length b);
+  for i = 0 to 2 do
+    check Alcotest.int "kept" (31 - i) (Packed_array.get b i)
+  done;
+  for i = 3 to 39 do
+    check Alcotest.int "new elements are zero" 0 (Packed_array.get b i)
+  done;
+  Alcotest.check_raises "shorter"
+    (Invalid_argument "Packed_array.grow: shorter length") (fun () ->
+      ignore (Packed_array.grow b ~length:39))
+
 let prop_packed_array_model =
   QCheck.Test.make ~name:"packed array matches int-array model" ~count:300
     QCheck.(
@@ -398,6 +413,12 @@ let test_int_table_add_if_absent () =
   check Alcotest.bool "kept" false (Int_table.add_if_absent t 1 20);
   check Alcotest.(option int) "original value" (Some 10) (Int_table.find t 1)
 
+let test_int_table_find_or_add () =
+  let t = Int_table.create () in
+  check Alcotest.int "bound when absent" 10 (Int_table.find_or_add t 1 10);
+  check Alcotest.int "found when present" 10 (Int_table.find_or_add t 1 20);
+  check Alcotest.int "one entry" 1 (Int_table.length t)
+
 let test_int_table_rejects_negative () =
   let t = Int_table.create () in
   Alcotest.check_raises "negative key"
@@ -534,6 +555,7 @@ let () =
         Alcotest.test_case "basics" `Quick test_packed_array_basics
         :: Alcotest.test_case "overflow" `Quick test_packed_array_rejects_overflow
         :: Alcotest.test_case "bytes roundtrip" `Quick test_packed_array_bytes_roundtrip
+        :: Alcotest.test_case "grow" `Quick test_packed_array_grow
         :: qsuite [ prop_packed_array_model ] );
       ( "sampler",
         [
@@ -562,6 +584,7 @@ let () =
       ( "int_table",
         Alcotest.test_case "basics" `Quick test_int_table_basics
         :: Alcotest.test_case "add_if_absent" `Quick test_int_table_add_if_absent
+        :: Alcotest.test_case "find_or_add" `Quick test_int_table_find_or_add
         :: Alcotest.test_case "negative keys" `Quick test_int_table_rejects_negative
         :: Alcotest.test_case "growth" `Quick test_int_table_growth
         :: qsuite [ prop_int_table_model ] );
