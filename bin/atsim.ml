@@ -54,12 +54,9 @@ let params_of_flags ~scheme ~ram ~w =
   configure ~flags:(Printf.sprintf "--ram %d -w %d" ram w) (fun () ->
       Params.derive ~scheme ~p:ram ~w ())
 
-let engine_config_of_flags ~shards ~epoch ~shard_warmup =
+let engine_config_of_flags ~shards =
   require ~flag:"--shards" ~min:1 shards;
-  require ~flag:"--epoch" ~min:1 epoch;
-  let warmup = Option.value shard_warmup ~default:epoch in
-  require ~flag:"--shard-warmup" ~min:0 warmup;
-  { Engine.shards; epoch_len = epoch; warmup; domains = None }
+  { Engine.default_config with Engine.shards }
 
 (* ------------------------------------------------------------------ *)
 (* Shared arguments                                                    *)
@@ -435,25 +432,11 @@ let shards_arg =
     value & opt int 1
     & info [ "shards" ] ~docv:"N"
         ~doc:
-          "Replay through the sharded engine with $(docv) epochs in flight \
-           (engine mode; 1 plus no $(b,--stream) keeps the exact sequential \
-           in-memory path).")
-
-let epoch_arg =
-  Arg.(
-    value & opt int 262_144
-    & info [ "epoch" ] ~docv:"LEN"
-        ~doc:"Engine mode: references per epoch time-slice.")
-
-let shard_warmup_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "shard-warmup" ] ~docv:"N"
-        ~doc:
-          "Engine mode: warm-up references replayed (then discarded) before \
-           each epoch; defaults to one epoch.  Replaces $(b,--warmup), which \
-           engine mode ignores.")
+          "Replay through the streaming engine: 1 runs its two stages \
+           (the paging policies X and Y, then the decoupling scheme) in \
+           turn on one domain, 2 or more on two domains.  The totals are \
+           exact either way.  1 plus no $(b,--stream) keeps the in-memory \
+           sequential path.  Engine mode ignores $(b,--warmup).")
 
 let stream_arg =
   Arg.(
@@ -463,19 +446,17 @@ let stream_arg =
           "Engine mode: never materialize the trace — pull references \
            chunk-by-chunk from a packed $(b,--trace-file) (see $(b,atsim \
            trace pack)) or straight from the synthetic generator, so peak \
-           memory is bounded by shards x (epoch + warm-up).")
+           memory is two hand-off blocks of references plus one decode \
+           chunk.")
 
 let decoupled_cmd =
   let run workload vpages ram tlb epsilon accesses warmup seed w scheme xp yp
-      trace_file shards epoch shard_warmup stream metrics trace_out
-      trace_capacity =
+      trace_file shards stream metrics trace_out trace_capacity =
     let params = params_of_flags ~scheme:(scheme_of scheme) ~ram ~w in
-    let config = engine_config_of_flags ~shards ~epoch ~shard_warmup in
+    let config = engine_config_of_flags ~shards in
     let reg = mk_registry ~trace_out ~trace_capacity in
     Format.printf "%a@.@." Params.pp params;
     let make_sim ?obs () =
-      (* Deterministic from [seed] alone, so engine worker domains can
-         call it concurrently and build identical simulators. *)
       let rng = Prng.create ~seed:(seed + 1) () in
       let x =
         Policy.instantiate (Registry.find_exn xp) ~rng:(Prng.split rng)
@@ -509,23 +490,9 @@ let decoupled_cmd =
           source
       in
       Format.printf "%a@." Engine.pp_totals totals;
-      (* Honest accuracy label: exact when the warm-up window covered
-         every epoch's whole stream prefix; the documented bound only
-         applies under the adequacy condition (warm-up can fill the
-         caches — see EXPERIMENTS.md B2), which we cannot check here. *)
-      let exact =
-        totals.Engine.epochs <= 1
-        || config.Engine.warmup >= (totals.Engine.epochs - 1) * epoch
-      in
-      Format.printf "C(Z) = %.2f (epsilon=%g, %s)@."
+      Format.printf "C(Z) = %.2f (epsilon=%g, exact)@."
         (Engine.cost ~epsilon totals)
         epsilon
-        (if exact then "exact: warm-up covered every epoch prefix"
-         else
-           Printf.sprintf
-             "approximate: within %.0f%% of sequential under the adequacy \
-              condition, see EXPERIMENTS.md B2"
-             (100. *. Engine.documented_error_bound))
     end
     else begin
       let wl = mk_workload ?trace_file workload ~vpages ~seed in
@@ -545,7 +512,7 @@ let decoupled_cmd =
     (Cmd.info "decoupled"
        ~doc:
          "Run the combined memory-management algorithm Z (Theorem 4) on a \
-          workload, sequentially or through the sharded streaming engine.")
+          workload, sequentially or through the streaming engine.")
     Term.(
       const run $ workload_arg $ vpages_arg $ ram_arg $ tlb_arg $ epsilon_arg
       $ accesses_arg $ warmup_arg $ seed_arg $ w_arg $ scheme_arg
@@ -553,7 +520,7 @@ let decoupled_cmd =
           ~doc:"TLB-replacement policy (X)."
       $ policy_arg ~name:"y-policy" ~default:"lru"
           ~doc:"RAM-replacement policy (Y)."
-      $ trace_file_arg $ shards_arg $ epoch_arg $ shard_warmup_arg $ stream_arg
+      $ trace_file_arg $ shards_arg $ stream_arg
       $ metrics_arg $ trace_out_arg $ trace_capacity_arg)
 
 (* ------------------------------------------------------------------ *)

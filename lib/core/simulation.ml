@@ -67,14 +67,21 @@ let[@inline] [@atplint.hot] note_psi_update t page =
     Obs.Trace.record t.tr Obs.Event.Psi_update page u
   end
 
-(* The replay loop.  Policy outcomes travel as untagged access codes
-   and translation as a frame-or-fault int, so a reference allocates
-   nothing. *)
-let[@atplint.hot] access t page =
+(* The replay loop, in two stages.  Stage 1 runs X on r(σ) and Y on σ:
+   the policies read only the reference, never D's state, so their
+   access codes can be computed ahead of D (on another domain, by
+   {!Atp_engine.Engine.replay}).  Stage 2 applies D to those codes.
+   Policy outcomes travel as untagged access codes and translation as
+   a frame-or-fault int, so a reference allocates nothing. *)
+let[@inline] [@atplint.hot] x_code t page =
+  t.x.Policy.access_fast (Decoupled.huge_of t.d page)
+
+let[@inline] [@atplint.hot] y_code t page = t.y.Policy.access_fast page
+
+(* Stage 2 for [page], whose huge page r(page) is [u]. *)
+let[@inline] [@atplint.hot] apply_u t page u fx fy =
   Obs.Counter.incr t.c_accesses;
-  let u = Decoupled.huge_of t.d page in
   (* TLB side: Z's TLB mirrors X's content on the stream r(σ). *)
-  let fx = t.x.Policy.access_fast u in
   if Policy.fast_is_hit fx then Obs.Trace.record t.tr Obs.Event.Tlb_hit u 0
   else begin
     Obs.Counter.incr t.c_tlb_fills;
@@ -87,7 +94,6 @@ let[@atplint.hot] access t page =
     Decoupled.tlb_add t.d u
   end;
   (* RAM side: Z's active set mirrors Y's. *)
-  let fy = t.y.Policy.access_fast page in
   if Policy.fast_is_miss fy then begin
     Obs.Counter.incr t.c_ios;
     Obs.Trace.record t.tr Obs.Event.Io page 0;
@@ -97,7 +103,11 @@ let[@atplint.hot] access t page =
       note_psi_update t victim
     end;
     Decoupled.ram_insert t.d page;
-    note_psi_update t page
+    (* page's huge page u is covered (the TLB side above ensured it), so
+       the insertion always updates a loaded entry: no membership
+       probe. *)
+    Obs.Counter.incr t.c_psi_updates;
+    Obs.Trace.record t.tr Obs.Event.Psi_update page u
   end;
   (* Translate.  u is covered here — just added on an X miss, held by
      X on a hit — so the TLB-membership probe is skipped, and the only
@@ -107,6 +117,17 @@ let[@atplint.hot] access t page =
     Obs.Counter.incr t.c_decoding_misses;
     Obs.Trace.record t.tr Obs.Event.Decode_miss page u
   end
+
+let[@inline] [@atplint.hot] apply t page fx fy =
+  apply_u t page (Decoupled.huge_of t.d page) fx fy
+
+(* [apply t page (x_code t page) (y_code t page)], with r(page)
+   computed once. *)
+let[@atplint.hot] access t page =
+  let u = Decoupled.huge_of t.d page in
+  let fx = t.x.Policy.access_fast u in
+  let fy = y_code t page in
+  apply_u t page u fx fy
 
 let report t =
   let max_bucket_load = Alloc.max_bucket_load (Decoupled.alloc t.d) in

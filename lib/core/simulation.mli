@@ -59,7 +59,30 @@ val create :
 val decoupled : t -> Decoupled.t
 
 val access : t -> int -> unit
-(** Service one virtual page request through Z. *)
+(** Service one virtual page request through Z: [apply t page
+    (x_code t page) (y_code t page)], with X accessed before Y and
+    r(page) computed once. *)
+
+(** {2 The two stages of {!access}}
+
+    X and Y read only the reference stream, never D's state, so
+    {!access} splits into a policy stage and a scheme stage that can
+    run apart, as long as each stage sees the references in stream
+    order.  {!Atp_engine.Engine.replay} runs them on two domains. *)
+
+val x_code : t -> int -> int
+(** Stage 1, TLB side: X's access code ({!Atp_paging.Policy.fast_hit},
+    {!Atp_paging.Policy.fast_miss_free} or the evicted huge page) for
+    the reference's huge page r(page).  Touches only X. *)
+
+val y_code : t -> int -> int
+(** Stage 1, RAM side: Y's access code for [page].  Touches only Y. *)
+
+val apply : t -> int -> int -> int -> unit
+(** [apply t page fx fy] is stage 2: D's response to X's code [fx]
+    and Y's code [fy] for [page] — TLB membership, RAM
+    insertion/eviction with ψ-update accounting, translation, every
+    counter and every trace event.  Touches neither X nor Y. *)
 
 val report : t -> report
 

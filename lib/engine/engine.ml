@@ -15,12 +15,13 @@ let default_config =
 
 let validate_config c =
   if c.shards < 1 then invalid_arg "Engine: shards must be positive";
-  if c.epoch_len < 1 then invalid_arg "Engine: epoch_len must be positive";
-  if c.warmup < 0 then invalid_arg "Engine: warmup must be non-negative"
+  match c.domains with
+  | Some d when d < 1 -> invalid_arg "Engine: domains must be positive"
+  | Some _ | None -> ()
 
-(* Measured, not derived: see the "engine" bench experiment and the
-   EXPERIMENTS.md error-model section; test/test_engine.ml asserts it. *)
-let documented_error_bound = 0.10
+(* Replay is exact: the pipeline applies D to X's and Y's decisions in
+   stream order, on one simulator. *)
+let documented_error_bound = 0.
 
 type totals = {
   accesses : int;
@@ -91,91 +92,68 @@ let source_of_workload w ~n =
       Some (w.Workload.next ())
     end
 
-(* The rolling warm-up history: the last [warmup] references consumed
-   from the source, in order, so each epoch can be prefixed with the
-   window that precedes it in the stream. *)
-module History = struct
-  type t = { ring : int array; mutable seen : int }
+(* One hand-off block: stage 1's decisions for up to [block_len]
+   consecutive references — each page with X's and Y's access codes. *)
+let block_len = 16_384
 
-  let create warmup = { ring = Array.make (max 1 warmup) 0; seen = 0 }
+type block = {
+  pages : int array;
+  x_codes : int array;
+  y_codes : int array;
+  mutable len : int;
+}
 
-  let push t page =
-    let cap = Array.length t.ring in
-    t.ring.(t.seen mod cap) <- page;
-    t.seen <- t.seen + 1
+let make_block () =
+  {
+    pages = Array.make block_len 0;
+    x_codes = Array.make block_len 0;
+    y_codes = Array.make block_len 0;
+    len = 0;
+  }
 
-  (* The last [min warmup seen] references, oldest first. *)
-  let window t ~warmup =
-    if warmup = 0 then [||]
-    else begin
-      let avail = min warmup t.seen in
-      let start = t.seen - avail in
-      let cap = Array.length t.ring in
-      Array.init avail (fun i -> t.ring.((start + i) mod cap))
-    end
-end
-
-type epoch = { pre : int array; refs : int array }
-
-let pull_epoch ~config ~history source =
-  let pre = History.window history ~warmup:config.warmup in
-  let buf = Array.make config.epoch_len 0 in
-  let n = ref 0 in
-  let eof = ref false in
-  while (not !eof) && !n < config.epoch_len do
+(* Stage 1: pull the next block of references and run X and Y on them.
+   Touches only the source and the two policies.  [false] once the
+   source has ended. *)
+let[@atplint.hot] decide sim source b =
+  let n = ref 0 and more = ref true in
+  while !more && !n < block_len do
     match source () with
     | Some page ->
-      buf.(!n) <- page;
-      incr n;
-      History.push history page
-    | None -> eof := true
+      b.pages.(!n) <- page;
+      b.x_codes.(!n) <- Simulation.x_code sim page;
+      b.y_codes.(!n) <- Simulation.y_code sim page;
+      incr n
+    | None -> more := false
   done;
-  if !n = 0 then None
-  else
-    Some { pre; refs = (if !n = config.epoch_len then buf else Array.sub buf 0 !n) }
+  b.len <- !n;
+  !more
 
-let rec pull_batch ~config ~history source k acc =
-  if k = 0 then List.rev acc
-  else
-    match pull_epoch ~config ~history source with
-    | None -> List.rev acc
-    | Some e -> pull_batch ~config ~history source (k - 1) (e :: acc)
+(* Stage 2: apply D, counters and trace events to a block, in order. *)
+let[@atplint.hot] apply sim b =
+  for i = 0 to b.len - 1 do
+    Simulation.apply sim b.pages.(i) b.x_codes.(i) b.y_codes.(i)
+  done
 
 let replay ?obs ?clock ~config ~make_sim source =
   validate_config config;
   let obs = match obs with Some o -> o | None -> Obs.Scope.null () in
   let clock = match clock with Some f -> f | None -> fun () -> 0. in
   let c_epochs = Obs.Scope.counter obs "epochs"
-  and c_warmup = Obs.Scope.counter obs "warmup_discarded"
   and c_merge_ns = Obs.Scope.counter obs "merge_ns" in
-  let history = History.create config.warmup in
-  let totals = ref empty_totals in
-  let finished = ref false in
-  while not !finished do
-    match pull_batch ~config ~history source config.shards [] with
-    | [] -> finished := true
-    | batch ->
-      (* One fresh simulator per epoch, replayed on up to [shards]
-         domains; the per-epoch reports merge in stream order, so the
-         aggregate is independent of scheduling. *)
-      let reports =
-        Parallel.map ?domains:config.domains
-          (fun e ->
-            let sim = make_sim () in
-            (Simulation.run ~warmup:e.pre sim e.refs, Array.length e.pre))
-          batch
-      in
-      let t0 = clock () in
-      List.iter
-        (fun (r, warmup_len) ->
-          totals := add_report !totals r ~warmup_len;
-          Obs.Counter.incr c_epochs;
-          Obs.Counter.add c_warmup warmup_len)
-        reports;
-      Obs.Counter.add c_merge_ns
-        (int_of_float ((clock () -. t0) *. 1e9))
-  done;
-  !totals
+  (* Registered for snapshot stability; it stays 0, because no
+     reference is replayed twice. *)
+  ignore (Obs.Scope.counter obs "warmup_discarded" : Obs.Counter.t);
+  let sim = make_sim () in
+  let domains = if config.shards = 1 then Some 1 else config.domains in
+  Parallel.pipeline ?domains ~make:make_block
+    ~produce:(fun b -> decide sim source b)
+    ~consume:(fun b -> apply sim b)
+    ();
+  let t0 = clock () in
+  let totals = add_report empty_totals (Simulation.report sim) ~warmup_len:0 in
+  Obs.Counter.incr c_epochs;
+  Obs.Counter.add c_merge_ns (int_of_float ((clock () -. t0) *. 1e9));
+  totals
 
 let replay_sequential ?obs ~make_sim source =
   let obs = match obs with Some o -> o | None -> Obs.Scope.null () in

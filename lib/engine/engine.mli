@@ -1,60 +1,69 @@
-(** The sharded streaming replay engine ([atp.engine]).
+(** The streaming replay engine ([atp.engine]).
 
     Sequential replay ({!Atp_core.Simulation.run}) walks a
-    fully-materialized trace on one core; production-scale traces
-    (billions of references) fit neither RAM nor patience.  This
-    engine consumes a {e pull stream} of references, time-slices it
-    into epochs of [epoch_len] references, replays each epoch on a
-    fresh simulator prefixed with the [warmup] references that
-    precede it in the stream (counters reset after warm-up, exactly
-    like {!Atp_core.Simulation.run}'s warm-up), and merges the
-    per-epoch reports in stream order.  Epochs are replayed up to
-    [shards] at a time on separate domains via
-    {!Atp_util.Parallel.map}; on OCaml < 5 the same code runs
-    sequentially with identical results, because the merge order is
-    the stream order, never the scheduling order.
+    fully-materialized trace; production-scale traces (billions of
+    references) do not fit in RAM.  This engine consumes a {e pull
+    stream} of references and replays it on {e one} simulator, in two
+    stages joined by a double buffer ({!Atp_util.Parallel.pipeline}):
 
-    Peak memory is [shards * (epoch_len + warmup)] references plus one
-    decode chunk — independent of the trace length.
+    - {b Stage 1} pulls the source and runs the simulator's two paging
+      algorithms: X on the huge page r(p) of each reference and Y on
+      the page p ({!Atp_core.Simulation.x_code} and
+      {!Atp_core.Simulation.y_code}).  It writes each page and both
+      access codes into a block of {!block_len} references.
+    - {b Stage 2} applies the decoupling scheme D to each block in
+      stream order ({!Atp_core.Simulation.apply}): the TLB membership,
+      RAM insertion and eviction with ψ-update accounting, translation,
+      every counter and every trace event.
 
-    {2 Exactness and the error model}
+    {2 Exactness}
 
-    Epoch [e] starts at stream index [s = e * epoch_len].  Its replay
-    is {e exact} — each counter equals the sequential run's increment
-    over the same window — whenever [warmup >= s]: the warm-up window
-    then covers the whole prefix, so the fresh simulator reaches the
-    very state the sequential simulator had at index [s].  In
-    particular, with [warmup >= epoch_len] every two-epoch replay is
-    exact, and [warmup >= n] makes any replay exact (at quadratic
-    replay cost).
+    By Lemma 1 and Theorem 4, the combined algorithm Z is D driven by
+    X on r(σ) and Y on σ, and X and Y read only the reference stream,
+    never D's state.  Running them ahead of D and handing over their
+    decisions in stream order therefore changes nothing:
+    {!Atp_core.Simulation.access} is literally stage 2 applied to
+    stage 1's codes, and {!replay} returns exactly what
+    {!replay_sequential} returns, for every policy, with no warm-up and
+    no error bound ([documented_error_bound = 0.]).  The differential
+    suite ([test/test_engine.ml]) checks this field for field.
 
-    When [warmup < s] the warm-up under-approximates resident state:
-    each such epoch can only {e over-count} misses of an
-    LRU-style stack policy (cold state has fewer resident pages), by
-    at most the policy capacity per epoch.  The measured bound — see
-    EXPERIMENTS.md "Sharded replay error" — is well under
-    {!documented_error_bound} relative cost error for every workload
-    in the test matrix with [warmup = epoch_len]; the differential
-    suite ([test/test_engine.ml]) enforces it. *)
+    {2 Domains and memory}
+
+    With [shards >= 2] stage 1 runs on a spawned domain while stage 2
+    runs on the caller's; with [shards = 1] or [domains = Some 1] the
+    caller runs the same two stages in turn.  The result is the same
+    either way.  Peak memory is two blocks of references plus whatever
+    the source buffers (one decode chunk for a packed trace) —
+    independent of the trace length.
+
+    [make_sim] is called once, on the caller's domain, before stage 1
+    starts.  The simulator's X and Y then run on the other domain, so
+    they must not share an obs scope or tracer with the simulator (or
+    with anything else the caller touches during the replay); no
+    caller in this repository's library or CLI does. *)
 
 type config = {
-  shards : int;  (** epochs replayed concurrently (>= 1) *)
-  epoch_len : int;  (** references per epoch (>= 1) *)
-  warmup : int;
-      (** references re-executed (then discarded from counts) before
-          each epoch; clipped to the available prefix (>= 0) *)
+  shards : int;
+      (** [1]: both stages on the caller's domain; [>= 2]: stage 1 on
+          a second domain *)
+  epoch_len : int;  (** not read; kept for source compatibility *)
+  warmup : int;  (** not read; kept for source compatibility *)
   domains : int option;
-      (** cap for {!Atp_util.Parallel.map}; [None] = recommended *)
+      (** cap for {!Atp_util.Parallel.pipeline}; [None] = recommended,
+          [Some 1] keeps both stages on the caller's domain *)
 }
 
 val default_config : config
-(** 4 shards, 1 Mi-reference epochs, warm-up of one epoch. *)
+(** 4 shards (two domains).  [epoch_len] and [warmup] hold their old
+    defaults, 1 Mi references each, and are not read. *)
 
 val documented_error_bound : float
-(** Relative cost error ([|sharded - sequential| / sequential]) that
-    multi-epoch sharded replay stays within on the documented workload
-    matrix with [warmup >= epoch_len]; measured in the [engine] bench
-    experiment and asserted by the differential tests. *)
+(** Relative cost error ([|replay - sequential| / sequential]) of
+    {!replay}: [0.], because the replay is exact. *)
+
+val block_len : int
+(** References per hand-off block between the two stages (16 Ki). *)
 
 type totals = {
   accesses : int;  (** measured accesses (warm-up excluded) *)
@@ -62,9 +71,14 @@ type totals = {
   tlb_fills : int;
   decoding_misses : int;
   failures : int;  (** paging failures inside measured windows *)
-  max_bucket_load : int;  (** max across epochs *)
-  epochs : int;  (** epochs replayed *)
-  warmup_replayed : int;  (** warm-up references replayed, then discarded *)
+  max_bucket_load : int;  (** max across simulators *)
+  epochs : int;
+      (** simulators replayed: 1 for {!replay}, one per tenant
+          instance for {!tenant_totals} *)
+  warmup_replayed : int;
+      (** references replayed and then discarded: 0 from {!replay},
+          {!replay_sequential} and {!tenant_totals}, which replay each
+          reference once *)
 }
 
 val empty_totals : totals
@@ -75,8 +89,9 @@ val cost : epsilon:float -> totals -> float
     {!Atp_core.Simulation.cost}. *)
 
 val add_report : totals -> Atp_core.Simulation.report -> warmup_len:int -> totals
-(** Fold one epoch's report into the running totals (sum counters, max
-    bucket load, count the epoch). *)
+(** Fold one simulator's report into the running totals (sum counters,
+    max bucket load, count the simulator, add [warmup_len] to
+    [warmup_replayed]). *)
 
 val pp_totals : Format.formatter -> totals -> unit
 
@@ -98,28 +113,30 @@ val replay :
   make_sim:(unit -> Atp_core.Simulation.t) ->
   source ->
   totals
-(** Sharded replay of the stream.  [make_sim] builds a fresh simulator
-    per epoch and is called concurrently from worker domains: it must
-    be deterministic and must not share mutable state across calls
-    (derive any {!Atp_util.Prng.t} from a constant seed inside the
-    closure, not outside).
+(** Two-stage replay of the stream on the one simulator [make_sim ()]
+    builds (called once, on the caller's domain).  The source is
+    pulled from stage 1, so with two domains it runs on the spawned
+    one.  An exception from the source, a policy or the simulator is
+    re-raised here with its original backtrace, after both stages have
+    stopped.
 
-    [obs] registers the engine counters [epochs],
-    [warmup_discarded], and [merge_ns] (merge time, measured with
-    [clock] when given — seconds, e.g. [Unix.gettimeofday] — and 0
-    otherwise; injectable so library code stays deterministic).
+    [obs] registers the engine counters [epochs] (1),
+    [warmup_discarded] (0) and [merge_ns] (the time to fold the
+    simulator's report into the totals, measured with [clock] when
+    given — seconds, e.g. [Unix.gettimeofday] — and 0 otherwise;
+    injectable so library code stays deterministic).
 
-    @raise Invalid_argument on a non-positive [shards]/[epoch_len] or
-    a negative [warmup]. *)
+    @raise Invalid_argument on a non-positive [shards], or a [domains]
+    cap below 1. *)
 
 val replay_sequential :
   ?obs:Atp_obs.Scope.t ->
   make_sim:(unit -> Atp_core.Simulation.t) ->
   source ->
   totals
-(** Exact sequential replay of the same stream on one fresh simulator
-    (one epoch, no warm-up): the reference the differential harness
-    compares {!replay} against. *)
+(** Sequential replay of the same stream through
+    {!Atp_core.Simulation.access}, one reference at a time: the
+    reference the differential harness compares {!replay} against. *)
 
 (** {2 Tenant-partitioned replay}
 

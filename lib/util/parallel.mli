@@ -17,6 +17,10 @@
     experiment runner ({!module:Atp_exp}) builds per-task outcome rows
     on.
 
+    {!pipeline} is the one primitive with a fixed shape instead: two
+    stages on two domains, handing blocks over through a double
+    buffer.
+
     On OCaml < 5 (no [Domain]) a sequential implementation with the
     same interface is selected at build time. *)
 
@@ -52,3 +56,33 @@ val map_results_array :
   'a array ->
   ('b, exn * Printexc.raw_backtrace) result array
 (** @raise Invalid_argument if [domains] is given and less than 1. *)
+
+val pipeline :
+  ?domains:int ->
+  make:(unit -> 'b) ->
+  produce:('b -> bool) ->
+  consume:('b -> unit) ->
+  unit ->
+  unit
+(** [pipeline ~make ~produce ~consume ()] runs a two-stage pipeline
+    over blocks built by [make].  Stage 1, [produce b], fills block
+    [b] and returns [false] once its input has ended ([b] is then the
+    last block and may hold less than a full block, or nothing).
+    Stage 2, [consume b], is applied to every produced block in
+    production order, the last one included.
+
+    With two domains (the default when the machine recommends at
+    least two) stage 1 runs on a spawned domain and stage 2 on the
+    caller's, over two blocks: stage 1 fills one while stage 2 reads
+    the other, and neither stage ever sees a block the other is
+    using.  [make] is called twice, on the caller's domain, before
+    the spawn.  Stage 1 and stage 2 must not share mutable state
+    except through the blocks.  With [domains = 1] (and on the
+    sequential fallback) [make] is called once and the caller's
+    domain alternates [produce] and [consume] on that one block.
+
+    The first exception raised by either stage is re-raised in the
+    caller with its original backtrace, as {!map} does, after the
+    other stage has been stopped at its next block boundary and the
+    spawned domain joined.
+    @raise Invalid_argument if [domains] is given and less than 1. *)

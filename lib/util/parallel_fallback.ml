@@ -4,8 +4,8 @@
 
 let recommended_domains () = 1
 
-let check_domains = function
-  | Some d when d < 1 -> invalid_arg "Parallel.map: need at least one domain"
+let check_domains ?(fn = "Parallel.map") = function
+  | Some d when d < 1 -> invalid_arg (fn ^ ": need at least one domain")
   | _ -> ()
 
 let map_array ?domains f input =
@@ -25,3 +25,13 @@ let map_results_array ?domains f input =
 
 let map_results ?domains f xs =
   Array.to_list (map_results_array ?domains f (Array.of_list xs))
+
+let pipeline ?domains ~make ~produce ~consume () =
+  check_domains ~fn:"Parallel.pipeline" domains;
+  let b = make () in
+  let rec loop () =
+    let more = produce b in
+    consume b;
+    if more then loop ()
+  in
+  loop ()

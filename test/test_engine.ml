@@ -1,19 +1,20 @@
-(* The differential harness for the sharded streaming engine: sharded
-   replay must reproduce exact sequential replay when the warm-up
-   window covers each epoch's prefix, stay within the documented error
-   bound otherwise, and the streamed trace format must round-trip
-   byte-for-byte.
+(* The differential harness for the streaming engine: its two-stage
+   replay (X and Y on one domain, the decoupling scheme on the other)
+   must reproduce exact sequential replay field for field, for every
+   policy, shard count and block boundary, and the streamed trace
+   format must round-trip byte-for-byte.
 
    The shard count is taken from ATP_SHARDS (CI runs the suite with
    ATP_SHARDS=4 on the multicore job); on OCaml 4.x the Parallel
-   fallback replays the same epochs sequentially and every assertion
-   here still holds, because the merge is in stream order. *)
+   fallback runs the two stages in turn on one domain and every
+   assertion here still holds. *)
 
 open Atp_util
 open Atp_core
 open Atp_paging
 open Atp_workloads
 module Engine = Atp_engine.Engine
+module Obs = Atp_obs
 
 let check = Alcotest.check
 
@@ -33,20 +34,24 @@ let params = Params.derive ~p:2048 ~w:64 ()
 let policies = [ "lru"; "fifo"; "2q" ]
 
 (* Deterministic simulator factory: every Prng is created inside the
-   closure from a constant seed, so concurrent calls from worker
-   domains build identical simulators.  Y's capacity (256) is far
-   below one epoch's worth of references, so an epoch-sized warm-up
-   window can actually fill the caches — the adequacy condition the
-   documented error bound is stated under. *)
-let make_sim ~policy () =
-  let p = Registry.find_exn policy in
+   closure from a constant seed, so two calls build identical
+   simulators — one for the engine, one for the sequential
+   reference. *)
+let make_pair_sim ?obs ?(params = params) ?(x_capacity = 64)
+    ?(y_capacity = 256) ~xp ~yp () =
   let x =
-    Policy.instantiate p ~rng:(Prng.create ~seed:11 ()) ~capacity:64 ()
+    Policy.instantiate (Registry.find_exn xp)
+      ~rng:(Prng.create ~seed:11 ())
+      ~capacity:x_capacity ()
   in
   let y =
-    Policy.instantiate p ~rng:(Prng.create ~seed:13 ()) ~capacity:256 ()
+    Policy.instantiate (Registry.find_exn yp)
+      ~rng:(Prng.create ~seed:13 ())
+      ~capacity:y_capacity ()
   in
-  Simulation.create ~seed:7 ~params ~x ~y ()
+  Simulation.create ~seed:7 ?obs ~params ~x ~y ()
+
+let make_sim ~policy () = make_pair_sim ~xp:policy ~yp:policy ()
 
 let trace_of ~seed ~n = function
   | "simple" ->
@@ -63,34 +68,129 @@ let trace_of ~seed ~n = function
 
 let workload_names = [ "simple"; "bimodal"; "graph_walk" ]
 
+(* Every field, the engine's bookkeeping included. *)
 let totals_testable =
   let pp ppf (t : Engine.totals) = Engine.pp_totals ppf t in
-  let eq (a : Engine.totals) (b : Engine.totals) =
-    a.Engine.accesses = b.Engine.accesses
-    && a.Engine.ios = b.Engine.ios
-    && a.Engine.tlb_fills = b.Engine.tlb_fills
-    && a.Engine.decoding_misses = b.Engine.decoding_misses
-    && a.Engine.failures = b.Engine.failures
-  in
-  Alcotest.testable pp eq
+  Alcotest.testable pp ( = )
 
 let sequential ~policy trace =
   Engine.replay_sequential ~make_sim:(make_sim ~policy)
     (Engine.source_of_array trace)
 
+let config ?(shards = shards) ?(epoch_len = Engine.default_config.epoch_len)
+    ?(warmup = Engine.default_config.warmup) () =
+  { Engine.shards; epoch_len; warmup; domains = None }
+
 let sharded ~policy ~epoch_len ~warmup trace =
   Engine.replay
-    ~config:{ Engine.shards; epoch_len; warmup; domains = None }
+    ~config:(config ~epoch_len ~warmup ())
     ~make_sim:(make_sim ~policy)
     (Engine.source_of_array trace)
 
 (* ------------------------------------------------------------------ *)
-(* Exact equivalence when warm-up covers every epoch prefix            *)
+(* Exact equivalence                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* warmup >= n: every epoch's warm-up window is its whole prefix, so
-   the fresh simulator reaches the sequential simulator's state and
-   each counter matches exactly — for every policy and workload. *)
+(* Every registered policy, as X and as Y, at every shard count the
+   suite runs, on streams that end before, at and after a block
+   boundary: the engine's totals equal sequential replay's, field for
+   field. *)
+let test_every_policy_exact () =
+  let b = Engine.block_len in
+  let full = trace_of ~seed:5 ~n:(b + 1) "simple" in
+  let pairs =
+    List.concat_map
+      (fun p -> if String.equal p "lru" then [ (p, p) ] else [ (p, "lru"); ("lru", p) ])
+      Registry.names
+  in
+  List.iter
+    (fun (xp, yp) ->
+      List.iter
+        (fun n ->
+          let trace = Array.sub full 0 n in
+          let seq =
+            Engine.replay_sequential ~make_sim:(make_pair_sim ~xp ~yp)
+              (Engine.source_of_array trace)
+          in
+          List.iter
+            (fun shards ->
+              check totals_testable
+                (Printf.sprintf "X=%s Y=%s n=%d shards=%d" xp yp n shards)
+                seq
+                (Engine.replay ~config:(config ~shards ())
+                   ~make_sim:(make_pair_sim ~xp ~yp)
+                   (Engine.source_of_array trace)))
+            (List.sort_uniq Int.compare [ 1; 2; shards ]))
+        [ 0; 1; b - 1; b; b + 1 ])
+    pairs
+
+(* A RAM of 64 pages under a uniform stream forces paging failures,
+   so the failure count and the decoding misses they cause must come
+   out the same too.  The stream spans five blocks, so both hand-off
+   buffers are reused. *)
+let test_failures_exact () =
+  let params = Params.derive ~p:64 ~w:64 () in
+  let trace =
+    Workload.generate
+      (Simple.uniform ~virtual_pages:8192 (Prng.create ~seed:5 ()))
+      ((4 * Engine.block_len) + 123)
+  in
+  let make_sim () =
+    make_pair_sim ~params ~x_capacity:8
+      ~y_capacity:(Params.usable_pages params) ~xp:"lru" ~yp:"lru" ()
+  in
+  let seq =
+    Engine.replay_sequential ~make_sim (Engine.source_of_array trace)
+  in
+  check Alcotest.bool "the stream causes paging failures" true
+    (seq.Engine.failures > 0 && seq.Engine.decoding_misses > 0);
+  List.iter
+    (fun shards ->
+      check totals_testable
+        (Printf.sprintf "shards=%d" shards)
+        seq
+        (Engine.replay ~config:(config ~shards ()) ~make_sim
+           (Engine.source_of_array trace)))
+    (List.sort_uniq Int.compare [ 1; 2; shards ])
+
+(* A simulator with a live obs scope and tracer: replayed through the
+   engine, its counters (psi_updates included), gauge and trace-event
+   sequence equal those of Simulation.run on the same stream. *)
+let test_obs_and_trace_exact () =
+  let trace = trace_of ~seed:8 ~n:(Engine.block_len + 3_000) "bimodal" in
+  let observed () =
+    let reg =
+      Obs.Registry.create ~trace:(Obs.Trace.create ~capacity:(1 lsl 17)) ()
+    in
+    (reg, make_pair_sim ~obs:(Obs.Scope.v ~prefix:"sim" reg) ~xp:"lru" ~yp:"2q" ())
+  in
+  let run_reg, z = observed () in
+  ignore (Simulation.run z trace : Simulation.report);
+  let engine_reg, engine_sim = observed () in
+  ignore
+    (Engine.replay ~config:(config ~shards:2 ())
+       ~make_sim:(fun () -> engine_sim)
+       (Engine.source_of_array trace)
+      : Engine.totals);
+  check Alcotest.bool "the stream updates covered ψ values" true
+    (Obs.Counter.value (Obs.Registry.counter run_reg "sim.psi_updates") > 0);
+  check Alcotest.int "no trace event dropped" 0
+    (Obs.Trace.dropped (Obs.Registry.trace run_reg));
+  check Alcotest.string "obs snapshot"
+    (Obs.Registry.snapshot_string run_reg)
+    (Obs.Registry.snapshot_string engine_reg);
+  let events reg =
+    List.map
+      (fun e -> Obs.Json.to_string (Obs.Event.to_json e))
+      (Obs.Trace.events (Obs.Registry.trace reg))
+  in
+  check
+    Alcotest.(list string)
+    "trace events" (events run_reg) (events engine_reg)
+
+(* Configurations that the old epoch engine replayed exactly — a
+   warm-up covering the whole prefix, or two epochs with a one-epoch
+   warm-up — stay exact: [epoch_len] and [warmup] are not read. *)
 let test_exact_full_warmup () =
   let n = 6_000 in
   List.iter
@@ -111,9 +211,6 @@ let test_exact_full_warmup () =
         policies)
     workload_names
 
-(* Two epochs with warmup >= epoch_len: epoch 0 has no prefix, epoch
-   1's prefix is exactly epoch 0 and fits the window — exact, the
-   "single epoch-boundary" case of the documented model. *)
 let test_exact_single_boundary () =
   let n = 4_000 in
   let epoch_len = 2_000 in
@@ -130,8 +227,9 @@ let test_exact_single_boundary () =
         policies)
     workload_names
 
-(* A ragged final epoch (n not a multiple of epoch_len) must not drop
-   or duplicate references. *)
+(* A ragged tail (n not a multiple of the block length) must not drop
+   or duplicate references; the replay is one pass over one
+   simulator. *)
 let test_exact_ragged_tail () =
   let n = 5_321 in
   let trace = trace_of ~seed:4 ~n "simple" in
@@ -139,14 +237,10 @@ let test_exact_ragged_tail () =
   let sh = sharded ~policy:"lru" ~epoch_len:1_700 ~warmup:n trace in
   check totals_testable "ragged tail exact" seq sh;
   check Alcotest.int "every reference measured" n sh.Engine.accesses;
-  check Alcotest.int "epoch count" 4 sh.Engine.epochs
+  check Alcotest.int "epoch count" 1 sh.Engine.epochs
 
-(* ------------------------------------------------------------------ *)
-(* Bounded error on multi-epoch configs                                *)
-(* ------------------------------------------------------------------ *)
-
-let rel_err a b = if b = 0. then abs_float a else abs_float (a -. b) /. b
-
+(* Configurations the old epoch engine only bounded (eight epochs with
+   a one-epoch warm-up) are exact now: the documented bound is 0. *)
 let test_bounded_multi_epoch () =
   let n = 12_000 in
   let epoch_len = 1_500 in
@@ -157,19 +251,13 @@ let test_bounded_multi_epoch () =
         (fun policy ->
           let seq = sequential ~policy trace in
           let sh = sharded ~policy ~epoch_len ~warmup:epoch_len trace in
-          check Alcotest.int
-            (Printf.sprintf "%s/%s accesses are exact" wname policy)
-            seq.Engine.accesses sh.Engine.accesses;
-          let e =
-            rel_err
-              (Engine.cost ~epsilon:0.01 sh)
-              (Engine.cost ~epsilon:0.01 seq)
-          in
-          check Alcotest.bool
-            (Printf.sprintf "%s/%s cost error %.4f <= %.2f" wname policy e
-               Engine.documented_error_bound)
-            true
-            (e <= Engine.documented_error_bound))
+          check totals_testable
+            (Printf.sprintf "%s/%s multi-epoch config = sequential" wname
+               policy)
+            seq sh;
+          check (Alcotest.float 0.)
+            (Printf.sprintf "%s/%s error bound" wname policy)
+            0. Engine.documented_error_bound)
         policies)
     workload_names
 
@@ -203,9 +291,7 @@ let test_stream_source_equivalence () =
       Trace.Stream.pack_array ~chunk_size:512 path trace;
       let from_mem = sharded ~policy:"lru" ~epoch_len:2_000 ~warmup:2_000 trace in
       let from_file =
-        Engine.replay
-          ~config:
-            { Engine.shards; epoch_len = 2_000; warmup = 2_000; domains = None }
+        Engine.replay ~config:(config ())
           ~make_sim:(make_sim ~policy:"lru")
           (Trace.Stream.source path)
       in
@@ -494,6 +580,12 @@ let () =
     [
       ( "differential",
         [
+          Alcotest.test_case "every policy matches sequential" `Quick
+            test_every_policy_exact;
+          Alcotest.test_case "paging failures are exact" `Quick
+            test_failures_exact;
+          Alcotest.test_case "obs and trace events are exact" `Quick
+            test_obs_and_trace_exact;
           Alcotest.test_case "full warm-up is exact" `Quick
             test_exact_full_warmup;
           Alcotest.test_case "single epoch boundary is exact" `Quick

@@ -239,7 +239,7 @@ let check_same_replay label (t_file, obs_file) (t_ref, obs_ref) =
   check Alcotest.string (label ^ ": obs snapshot") obs_ref obs_file
 
 let engine_config ~shards =
-  { Engine.shards; epoch_len = 32; warmup = 32; domains = None }
+  { Engine.default_config with Engine.shards }
 
 let test_corpus_differential () =
   List.iter

@@ -314,7 +314,130 @@ let test_parallel_order_preserved_under_load () =
 let test_parallel_rejects_bad_domains () =
   Alcotest.check_raises "zero domains"
     (Invalid_argument "Parallel.map: need at least one domain") (fun () ->
-      ignore (Parallel.map ~domains:0 Fun.id [ 1 ]))
+      ignore (Parallel.map ~domains:0 Fun.id [ 1 ]));
+  Alcotest.check_raises "zero pipeline domains"
+    (Invalid_argument "Parallel.pipeline: need at least one domain") (fun () ->
+      Parallel.pipeline ~domains:0
+        ~make:(fun () -> ())
+        ~produce:(fun () -> false)
+        ~consume:(fun () -> ())
+        ())
+
+(* Pipeline fixtures: blocks of up to 4 ints numbering a stream of [n]
+   items.  The consumer appends what it sees to [seen], in order;
+   [produced] counts the blocks stage 1 started.  Stage 1 raises
+   "produce-boom" at item [item] of block [block] when asked to, and
+   stage 2 raises "consume-boom" on its block [block]. *)
+type pblock = { items : int array; mutable len : int }
+
+let rec deep_fail n msg : unit =
+  if n = 0 then failwith msg else (deep_fail (n - 1) msg; ())
+
+let pipeline_run ?domains ?produce_fails ?consume_fails ~seen ~produced n =
+  let next = ref 0 and consumed = ref 0 in
+  Parallel.pipeline ?domains
+    ~make:(fun () -> { items = Array.make 4 0; len = 0 })
+    ~produce:(fun b ->
+      let block = !produced in
+      incr produced;
+      b.len <- 0;
+      while b.len < 4 && !next < n do
+        if produce_fails = Some (block, b.len) then deep_fail 3 "produce-boom";
+        b.items.(b.len) <- !next;
+        b.len <- b.len + 1;
+        incr next
+      done;
+      !next < n)
+    ~consume:(fun b ->
+      if consume_fails = Some !consumed then deep_fail 3 "consume-boom";
+      incr consumed;
+      for i = 0 to b.len - 1 do seen := !seen @ [ b.items.(i) ] done)
+    ()
+
+let test_pipeline_matches_sequential () =
+  List.iter
+    (fun n ->
+      List.iter
+        (fun domains ->
+          let seen = ref [] and produced = ref 0 in
+          pipeline_run ?domains ~seen ~produced n;
+          let label =
+            Printf.sprintf "n=%d domains=%s" n
+              (match domains with Some d -> string_of_int d | None -> "default")
+          in
+          check Alcotest.(list int) label (List.init n Fun.id) !seen;
+          (* The fixture ends the stream with its last item, so every
+             block but the last is full and only n = 0 leaves one
+             empty. *)
+          check Alcotest.int (label ^ " blocks") (max 1 ((n + 3) / 4)) !produced)
+        [ Some 1; Some 2; None ])
+    [ 0; 1; 3; 4; 5; 100 ]
+
+(* Runs [f], which must raise [Failure msg]; returns the backtrace it
+   carried. *)
+let expect_failure msg f =
+  Printexc.record_backtrace true;
+  match f () with
+  | () -> Alcotest.failf "expected Failure %S" msg
+  | exception Failure m ->
+    let bt = Printexc.get_backtrace () in
+    check Alcotest.string "exception" msg m;
+    bt
+
+let contains s sub =
+  let n = String.length s and k = String.length sub in
+  let rec go i = i + k <= n && (String.equal (String.sub s i k) sub || go (i + 1)) in
+  go 0
+
+(* Backtraces name the raise site only in builds that record them with
+   locations; calibrate with a direct raise first. *)
+let backtraces_have_locations () =
+  Printexc.record_backtrace true;
+  match deep_fail 3 "calibrate" with
+  | () -> false
+  | exception Failure _ -> contains (Printexc.get_backtrace ()) "test_vm"
+
+(* A producer failure at item [item] of block 3 (item 0: right after a
+   full block 2) reaches the caller with its backtrace, on one domain
+   and on two.  The consumer stops: it never sees block 3, and sees
+   blocks 0-2 only in order. *)
+let test_pipeline_producer_raises ~item () =
+  let located = backtraces_have_locations () in
+  List.iter
+    (fun domains ->
+      let label = Printf.sprintf "item %d of block 3, domains=%d" item domains in
+      let seen = ref [] and produced = ref 0 in
+      let bt =
+        expect_failure "produce-boom" (fun () ->
+            pipeline_run ~domains ~produce_fails:(3, item) ~seen ~produced 100)
+      in
+      if located then
+        check Alcotest.bool (label ^ ": backtrace") true (contains bt "test_vm");
+      check Alcotest.int (label ^ ": blocks started") 4 !produced;
+      let k = List.length !seen in
+      check Alcotest.bool (label ^ ": whole blocks only") true
+        (k mod 4 = 0 && k <= 12);
+      check Alcotest.(list int) (label ^ ": in order") (List.init k Fun.id) !seen;
+      if domains = 1 then check Alcotest.int (label ^ ": blocks 0-2") 12 k)
+    [ 1; 2 ]
+
+(* A consumer failure on block 2 reaches the caller with its backtrace
+   and stops the producer within two blocks of it, out of 250. *)
+let test_pipeline_consumer_raises () =
+  let located = backtraces_have_locations () in
+  List.iter
+    (fun domains ->
+      let label = Printf.sprintf "domains=%d" domains in
+      let seen = ref [] and produced = ref 0 in
+      let bt =
+        expect_failure "consume-boom" (fun () ->
+            pipeline_run ~domains ~consume_fails:2 ~seen ~produced 1_000)
+      in
+      if located then
+        check Alcotest.bool (label ^ ": backtrace") true (contains bt "test_vm");
+      check Alcotest.(list int) (label ^ ": blocks 0-1") (List.init 8 Fun.id) !seen;
+      check Alcotest.bool (label ^ ": producer stopped") true (!produced <= 4))
+    [ 1; 2 ]
 
 let () =
   Alcotest.run "atp.vm"
@@ -352,5 +475,14 @@ let () =
           Alcotest.test_case "exceptions" `Quick test_parallel_propagates_exception;
           Alcotest.test_case "order under load" `Quick test_parallel_order_preserved_under_load;
           Alcotest.test_case "bad domains" `Quick test_parallel_rejects_bad_domains;
+          Alcotest.test_case "pipeline matches sequential" `Quick
+            test_pipeline_matches_sequential;
+          Alcotest.test_case "pipeline producer raises mid-block" `Quick
+            (test_pipeline_producer_raises ~item:2);
+          Alcotest.test_case "pipeline producer raises at a block boundary"
+            `Quick
+            (test_pipeline_producer_raises ~item:0);
+          Alcotest.test_case "pipeline consumer raises on block 2" `Quick
+            test_pipeline_consumer_raises;
         ] );
     ]
